@@ -13,6 +13,12 @@ Conventions fixed throughout:
   p^d scale factors cancel, i.e. it equals theta_{F(f)} on the nose.  This is
   the unique normalization under which the whole generator-action table holds
   with unit cocycle values at 0 and infinity (the tests pin it numerically).
+* Theta values factor over the coordinates, theta_f(tau) = sum_e f(e)
+  prod_i vartheta_{e_i}(tau) with vartheta_k(tau) = sum_{t = k mod p}
+  e^{2 pi i t^2 tau}; each 1-d sum is cut at |t| <= T and its Gaussian tail
+  bound is carried through the product into the certified ``tail`` of the
+  returned ``ThetaValue``.  ``theta_coeffs`` keeps the residue census, which
+  the tests use as the independent oracle for these values.
 """
 
 from __future__ import annotations
@@ -101,6 +107,9 @@ class TestFunction:
         return float(np.abs(self.values).max(initial=0.0))
 
     def value_at(self, coords) -> complex:
+        coords = tuple(coords)
+        if len(coords) != self.d:
+            raise ValidationError(f"expected {self.d} coordinates, got {len(coords)}")
         e = 0
         for i, c in enumerate(coords):
             e += (c % self.p) * self.p**i
@@ -126,13 +135,18 @@ def even_projection(f: TestFunction) -> TestFunction:
     return TestFunction(f.p, f.d, v)
 
 
+def _dft_matrix(p: int) -> np.ndarray:
+    """W[k, m] = e^{-2 pi i k m / p}, the 1-d factor of ``finite_fourier``."""
+    return np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+
+
 def finite_fourier(f: TestFunction) -> TestFunction:
     """F(f)(xi) = sum_x f(x) e^{-2 pi i Q(x, xi)/p}, one 1-d transform per axis.
 
     Applying it twice gives p^d f(-x) (counting-measure normalization).
     """
     p, d = f.p, f.d
-    w = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+    w = _dft_matrix(p)
     t = f.values.reshape((p,) * d)
     for ax in range(d):
         t = np.moveaxis(np.tensordot(w, t, axes=([1], [ax])), 0, ax)
@@ -212,38 +226,70 @@ def theta_coeffs(f: TestFunction, nmax: int, cell_cap: int = DEFAULT_CENSUS_CELL
 
 @dataclass(frozen=True)
 class ThetaValue:
-    """A truncated theta evaluation with its certified tail bound."""
+    """A truncated theta evaluation with its certified tail bound.
+
+    ``radius`` is the 1-d cut T: every coordinate sum runs over |t| <= T, so
+    the evaluation covers the cube [-T, T]^d of Z^d.
+    """
 
     value: complex
     tail: float
     radius: int
 
 
-def _tail_bound(d: int, y: float, radius: int, max_abs: float) -> float:
-    """Bound for |sum_{n > radius} c_n e^{2 pi i n tau}|, using
-    |c_n| <= max|f| r_d(n) <= max|f| (3 sqrt n)^d and a geometric comparison."""
-    n0 = radius + 1
-    rho = math.exp(d / (2 * n0) - TWO_PI * y)
-    if rho >= 1.0:
-        return math.inf
-    g = max_abs * (3.0 * math.sqrt(n0)) ** d * math.exp(-TWO_PI * n0 * y)
-    return g / (1.0 - rho)
+#: largest 1-d cut a theta evaluation may use (each partial sum holds 2T+1 terms)
+_MAX_CUT = 2 * 10**6
 
 
-def _choose_radius(d: int, y: float, target: float, max_abs: float) -> int:
-    r = max(8, int(d / (math.pi * y)) + 1)
-    while _tail_bound(d, y, r, max_abs) > target:
-        r = int(r * 1.4) + 16
-        if r > 5 * 10**6:
-            raise ResourceLimitError("theta truncation radius cap exceeded")
-    return r
+def _gauss_tail(y: float, cut: int) -> float:
+    """sum_{|t| > cut} e^{-2 pi y t^2} <= 2 rho^{(cut+1)^2} / (1 - rho^{2 cut + 3}),
+    rho = e^{-2 pi y}, by comparing the exponents with an arithmetic progression."""
+    return 2.0 * math.exp(-TWO_PI * y * (cut + 1) ** 2) / -math.expm1(-TWO_PI * y * (2 * cut + 3))
 
 
-def _series_eval(f: TestFunction, tau_eff: complex, eps: float, cell_cap: int) -> ThetaValue:
-    """Evaluate sum_n c_n(f) e^{2 pi i n tau_eff} with tail < eps (|value| + 1).
+def _partial_thetas(p: int, tau: complex, cut: int) -> np.ndarray:
+    """v_k = sum_{|t| <= cut, t = k mod p} e^{2 pi i t^2 tau} for k = 0..p-1.
 
-    The radius comes from the documented tail bound with a hard safety factor
-    of 2; the achieved bound is returned so callers can assert against it.
+    Terms are accumulated outward from t = 0, so a larger cut only appends
+    terms after the ones a smaller cut already summed.
+    """
+    s = np.arange(1, cut + 1, dtype=np.int64)
+    t = np.concatenate(([0], np.stack([s, -s], axis=1).ravel()))
+    terms = np.exp(2j * np.pi * tau * (t * t))
+    res = t % p
+    return np.bincount(res, terms.real, minlength=p) + 1j * np.bincount(res, terms.imag, minlength=p)
+
+
+def _eval_at_cut(f: TestFunction, tau_eff: complex, cut: int, dual: bool) -> ThetaValue:
+    """theta_f(tau_eff) (theta_{F(f)} when ``dual``) from the partial sums with |t| <= cut.
+
+    theta_f = sum_e f(e) prod_i vartheta_{e_i}, so the truncated value is the
+    contraction of the (p,)*d value tensor with v along every axis; for the
+    transform, <W^{(x)d} f, v^{(x)d}> = <f, (W v)^{(x)d}> contracts f with W v
+    instead.  If every coordinate vector a (v or W v) misses its full sum by b
+    with sum_k |b_k| <= beta, telescoping the product bounds the error by
+    max|f| d beta (sum_k |a_k| + beta)^{d-1}.
+    """
+    p, d = f.p, f.d
+    a = _partial_thetas(p, tau_eff, cut)
+    beta = _gauss_tail(tau_eff.imag, cut)
+    if dual:
+        a = _dft_matrix(p) @ a
+        beta *= p
+    t = f.values.reshape((p,) * d)
+    for _ in range(d):
+        t = t @ a
+    tail = f.max_abs * d * beta * (float(np.abs(a).sum()) + beta) ** (d - 1)
+    return ThetaValue(value=complex(t), tail=tail, radius=cut)
+
+
+def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = False) -> ThetaValue:
+    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps (|value| + 1).
+
+    The cut T is the smallest one whose a priori product bound, with
+    sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau), is below eps;
+    it is doubled until the bound achieved with the computed partial sums
+    meets the relative target.
     """
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -253,51 +299,47 @@ def _series_eval(f: TestFunction, tau_eff: complex, eps: float, cell_cap: int) -
     m = f.max_abs
     if m == 0.0:
         return ThetaValue(0j, 0.0, 0)
-    # heuristic magnitude estimate for the relative target; corrected below
-    est = m * max(1.0, (2 * y) ** (-f.d / 2))
-    while True:
-        r_needed = _choose_radius(f.d, y, eps * (est + 1.0), m)
-        radius = 2 * r_needed
-        radius += (-radius) % 64  # bucket radii so census caches are shared
-        if (radius + 1) * f.p**f.d > cell_cap:
-            raise ResourceLimitError(
-                f"truncation radius {radius} needs more than {cell_cap} census cells"
-            )
-        c = theta_coeffs(f, radius, cell_cap).c
-        qn = np.exp(2j * np.pi * tau_eff * np.arange(radius + 1))
-        value = complex(c @ qn)
-        tail = _tail_bound(f.d, y, radius, m)
-        if tail <= eps * (abs(value) + 1.0):
-            return ThetaValue(value=value, tail=tail, radius=radius)
-        est = abs(value)
+    d = f.d
+    spread = f.p if dual else 1
+    a_bound = spread * (1.0 + 1.0 / math.sqrt(2.0 * y))
+
+    def prior(cut: int) -> float:
+        beta = spread * _gauss_tail(y, cut)
+        return m * d * beta * (a_bound + beta) ** (d - 1)
+
+    # the 1-d test keeps the power in prior() finite at every cut it is asked for
+    if _gauss_tail(y, _MAX_CUT) < 1.0 and prior(_MAX_CUT) <= eps:
+        lo, cut = -1, _MAX_CUT  # prior(cut) <= eps < prior(lo); prior decreases in the cut
+        while cut - lo > 1:
+            mid = (lo + cut) // 2
+            if prior(mid) <= eps:
+                cut = mid
+            else:
+                lo = mid
+        while cut <= _MAX_CUT:
+            res = _eval_at_cut(f, tau_eff, cut, dual)
+            if res.tail <= eps * (abs(res.value) + 1.0):
+                return res
+            cut = 2 * cut + 1
+    raise ResourceLimitError(f"theta truncation needs a cut above {_MAX_CUT} at Im(tau) = {y}")
 
 
-def theta_eval_full(
-    f: TestFunction,
-    tau: complex,
-    eps: float = DEFAULT_EPS,
-    cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
-) -> ThetaValue:
+def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
     """theta_f(tau) = sum_{x in Z^d} f(x mod p) e^{2 pi i Q(x,x) tau}, truncated."""
-    return _series_eval(f, complex(tau), eps, cell_cap)
+    return _series_eval(f, complex(tau), eps)
 
 
 def theta_eval(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> complex:
     return theta_eval_full(f, tau, eps).value
 
 
-def theta_j_eval_full(
-    f: TestFunction,
-    j: CuspIndex,
-    tau: complex,
-    eps: float = DEFAULT_EPS,
-    cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
-) -> ThetaValue:
+def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
     """The component theta_f^j for j in {0..p-1, inf} (odd p, even f).
 
     Finite j uses the exponent (tau - j)/p^2; j = inf is theta of the
     finite Fourier transform of f (the p^d scale of the component and the
-    1/p^d of the Plancherel-normalized transform cancel).
+    1/p^d of the Plancherel-normalized transform cancel), evaluated without
+    forming the transform.
     """
     if f.p == 2:
         raise ValidationError("theta components are defined for odd p only")
@@ -305,10 +347,10 @@ def theta_j_eval_full(
         raise ValidationError("theta components require an even test function")
     tau = complex(tau)
     if j == INF:
-        return _series_eval(finite_fourier(f), tau, eps, cell_cap)
+        return _series_eval(f, tau, eps, dual=True)
     if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= f.p - 1:
         raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
-    return _series_eval(f, (tau - int(j)) / f.p**2, eps, cell_cap)
+    return _series_eval(f, (tau - int(j)) / f.p**2, eps)
 
 
 def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:

@@ -117,6 +117,17 @@ def test_theta_verify_exit_zero(capsys):
     assert all(line.endswith("true") for line in lines[1:])
 
 
+def test_theta_verify_p13_d4(capsys):
+    # p^d = 28561 needs no residue census on the theta path
+    code, out, _ = run_cli(
+        ["theta-verify", "--p", "13", "--d", "4", "--tau", "0+1i", "--seed", "1"], capsys
+    )
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert len(rows) == 31
+    assert all(row.endswith("true") for row in rows)
+
+
 def test_cusp_check_and_srw(capsys):
     code, out, _ = run_cli(
         ["cusp-check", "--p", "3", "--d", "2", "--kind", "random-cusp", "--seed", "1"], capsys

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quadsum.errors import ValidationError
+from quadsum.errors import ResourceLimitError, ValidationError
 from quadsum.lattice import count_range, quadric_indices
 from quadsum.theta import (
     INF,
@@ -34,11 +34,13 @@ from quadsum.theta import (
     theta_eval,
     theta_eval_full,
     theta_j_eval,
+    theta_j_eval_full,
     tsum_check,
     verify_generator_actions,
     verify_poisson,
     verify_weak_modularity,
 )
+from quadsum.theta import _eval_at_cut
 
 
 def _literal_fourier(f: TestFunction) -> np.ndarray:
@@ -89,6 +91,15 @@ def test_even_flag():
     assert not TestFunction(3, 2, v).is_even
     assert even_projection(TestFunction(3, 2, v)).is_even
     assert random_even_function(5, 3, 0).is_even
+
+
+def test_value_at_checks_coordinate_count():
+    f = TestFunction(3, 2, np.arange(9))
+    assert f.value_at((1, 2)) == 7
+    assert f.value_at((-1, 4)) == 5
+    for coords in [(1,), (1, 1, 1), (1, 1, 0)]:
+        with pytest.raises(ValidationError):
+            f.value_at(coords)
 
 
 # --- finite Fourier transform and operators ----------------------------------
@@ -221,6 +232,22 @@ def test_theta_eval_zero_linearity_and_tail():
     assert full.radius > 0
 
 
+def test_theta_tail_bound_at_small_imaginary_part():
+    # the image of tau = i under the c = 4p^2 generator at p = 3 (Im ~ 7.7e-4):
+    # the product tail bound must stay positive there, not round to 0
+    f = random_even_function(3, 4, 1)
+    tau = 1j / (36j + 1)
+    full = theta_eval_full(f, tau)
+    assert 0 < full.tail <= 1e-12 * (abs(full.value) + 1)
+    doubled = _eval_at_cut(f, tau, 2 * full.radius, dual=False)
+    assert abs(doubled.value - full.value) <= full.tail
+
+
+def test_theta_cut_cap_fails_fast():
+    with pytest.raises(ResourceLimitError):
+        theta_eval(constant_function(3, 1), 1e-15j)
+
+
 def test_theta_eval_rejects_lower_half_plane():
     f = constant_function(3, 1)
     with pytest.raises(ValidationError):
@@ -263,6 +290,21 @@ def test_theta_j_requires_even_and_odd_p():
         theta_j_eval(constant_function(2, 2), 0, 1j)
     with pytest.raises(ValidationError):
         theta_j_eval(random_even_function(3, 2, 0), 5, 1j)
+
+
+@pytest.mark.parametrize("p,d", [(3, 4), (5, 4), (5, 5), (7, 4), (3, 8), (11, 3)])
+def test_theta_components_match_census_series(p, d):
+    # the census series sum_n c_n(g) e^{2 pi i n tau_eff} is the independent
+    # oracle; cutting it where e^{-2 pi n Im tau_eff} = e^{-60} leaves a
+    # remainder far below the tolerance
+    f = random_even_function(p, d, p + d)
+    tau = 0.3 + 0.8j
+    for j in (0, 1, INF):
+        g, tau_eff = (finite_fourier(f), tau) if j == INF else (f, (tau - j) / p**2)
+        n = math.ceil(60 / (2 * math.pi * tau_eff.imag))
+        census = complex(theta_coeffs(g, n).c @ np.exp(2j * np.pi * tau_eff * np.arange(n + 1)))
+        got = theta_j_eval_full(f, j, tau)
+        assert abs(got.value - census) <= got.tail + 1e-12 * (abs(got.value) + 1), (j, got, census)
 
 
 def test_verify_poisson_small_grid():
