@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from math import gcd
@@ -460,16 +459,6 @@ def _build_parser() -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    threads = os.environ.get("QS_THREADS")
-    if threads is not None:
-        # upper bound on worker parallelism; all current computation is
-        # sequential, so any positive bound is honored as-is
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            sys.stderr.write(f"quadsum: QS_THREADS must be a positive integer, got {threads!r}\n")
-            return 1
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -2,10 +2,11 @@
 the truncated singular series, and the archimedean main term.
 
 For odd p everything has a closed form (verified against direct summation in
-the tests); for p = 2 the local density is a checked partial sum of the
-defining series.  All transcendental work is double precision; closed-form
-versus direct comparisons in this package use absolute tolerance 1e-8 scaled
-by max(1, |value|), which direct sums of <= 10**4 roots of unity meet easily.
+the tests); for p = 2 the local density is the finite sum of the defining
+series up to h = ord_2(n) + 4, past which every term vanishes.  All
+transcendental work is double precision; closed-form versus direct
+comparisons in this package use absolute tolerance 1e-8 scaled by
+max(1, |value|), which direct sums of <= 10**4 roots of unity meet easily.
 """
 
 from __future__ import annotations
@@ -181,14 +182,18 @@ def local_density(
     p: int,
     d: int,
     n: int,
-    tail_tol: float = 1e-9,
     q_cap: int = DEFAULT_Q_CAP,
 ) -> DensityReport:
     """The p-adic local density delta_{p,d}(n) = sum_h A_d(p^h, n).
 
     Odd p: evaluated by the explicit closed form (the series is finite, terms
-    vanish for h > ord_p(n) + 1).  p = 2: partial sum up to H = ord_2(n) + 4,
-    extended until the next two terms are below ``tail_tol`` in absolute value.
+    vanish for h > ord_p(n) + 1).  p = 2: the direct sum of the terms
+    h = 0..ord_2(n) + 4, which is the whole series.  For h >= 2,
+    S(2^h, a) / 2^{h/2} depends only on a mod 8, so for h >= 3 grouping the
+    units a mod 2^h by their class mod 8 leaves in A_d(2^h, n) the factor
+    sum_{m mod 2^{h-3}} e^{-2 pi i n m / 2^{h-3}}, which is 0 once
+    h >= ord_2(n) + 4.  The first vanishing term, h = ord_2(n) + 4, is still
+    summed (it is roundoff-sized), the ones after it are not.
     """
     if d < 3:
         raise ValidationError(f"local_density requires d >= 3, got {d}")
@@ -199,19 +204,7 @@ def local_density(
 
     if p == 2:
         o = p_adic_split(n, 2).ord
-        h_top = o + 4
-        terms = [a_coeff_direct(d, 2**h, n, q_cap) for h in range(h_top + 1)]
-        while (
-            abs(a_coeff_direct(d, 2 ** (h_top + 1), n, q_cap))
-            + abs(a_coeff_direct(d, 2 ** (h_top + 2), n, q_cap))
-            >= tail_tol
-        ):
-            h_top += 1
-            terms.append(a_coeff_direct(d, 2**h_top, n, q_cap))
-            if h_top > o + 40:
-                raise ResourceLimitError(
-                    f"2-adic density tail did not settle for d={d}, n={n}"
-                )
+        terms = [a_coeff_direct(d, 2**h, n, q_cap) for h in range(o + 5)]
         total = sum(terms)
         return DensityReport(
             p=2, d=d, n=n, terms=tuple(terms), delta=float(total.real), method="brute-force"

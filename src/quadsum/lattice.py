@@ -193,24 +193,8 @@ def r4_jacobi(n: int) -> int:
 # residue machinery mod p
 # ---------------------------------------------------------------------------
 
-_digit_cache: dict[tuple[int, int], np.ndarray] = {}
 _qmod_cache: dict[tuple[int, int], np.ndarray] = {}
 _census_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
-def digit_table(p: int, d: int) -> np.ndarray:
-    """(p**d, d) array: row e holds the base-p digits of e, digit 0 first."""
-    key = (p, d)
-    tbl = _digit_cache.get(key)
-    if tbl is None:
-        idx = np.arange(p**d, dtype=np.int64)
-        tbl = np.empty((p**d, d), dtype=np.int64)
-        for i in range(d):
-            tbl[:, i] = idx % p
-            idx //= p
-        tbl.setflags(write=False)
-        _digit_cache[key] = tbl
-    return tbl
 
 
 def encode_residues(coords: tuple[int, ...], p: int) -> int:
@@ -230,16 +214,16 @@ def decode_index(e: int, p: int, d: int) -> tuple[int, ...]:
 
 
 def qmod_vector(p: int, d: int) -> np.ndarray:
-    """Q(x,x) at every residue vector: mod p for odd p, mod 4 for p = 2
-    (the value of the integer sum of bits is well defined mod 4)."""
+    """Q(x,x) at every residue vector, the outer sum of the 1-d squares over
+    the coordinates: mod p for odd p, mod 4 for p = 2 (the value of the
+    integer sum of bits is well defined mod 4)."""
     key = (p, d)
     q = _qmod_cache.get(key)
     if q is None:
-        digits = digit_table(p, d)
-        if p == 2:
-            q = digits.sum(axis=1) % 4
-        else:
-            q = (digits * digits).sum(axis=1) % p
+        mod = quadric_modulus(p)
+        q = sq = np.arange(p, dtype=np.int64) ** 2 % mod
+        for _ in range(d - 1):
+            q = ((q[:, None] + sq[None, :]) % mod).ravel()
         q.setflags(write=False)
         _qmod_cache[key] = q
     return q
@@ -277,8 +261,9 @@ def residue_census(
     cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
 ) -> np.ndarray:
     """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
-    x = e mod p (base-p encoded).  Built once per (d, p) and grown on demand;
-    the returned array is read-only.
+    x = e mod p (base-p encoded).  Built once per (d, p) and kept; a request
+    with a larger nmax than the kept table rebuilds it from scratch at the new
+    size.  The returned array is read-only.
     """
     if d < 1 or nmax < 0:
         raise ValidationError(f"residue_census got d={d}, nmax={nmax}")

@@ -2,6 +2,10 @@
 rescaling operators acting on them, weighted theta series with certified
 truncation, and numerical verification of the transformation identities.
 
+Every operator on (Z/pZ)^d (L, S_j, the Fourier transform, the theta
+contraction and the S(r, w) sums) acts on the (p,)*d value tensor one
+coordinate axis at a time, since Q(x,x) = x_1^2 + ... + x_d^2 is diagonal.
+
 Conventions fixed throughout:
 
 * ``finite_fourier`` is the plain counting-measure transform
@@ -32,7 +36,7 @@ import numpy as np
 
 from .arith import is_prime, j_prime_k
 from .errors import ResourceLimitError, ValidationError
-from .lattice import digit_table, qmod_vector, quadric_indices, quadric_modulus, residue_census
+from .lattice import encode_residues, qmod_vector, quadric_indices, quadric_modulus, residue_census
 from .limits import DEFAULT_CENSUS_CELL_CAP, DEFAULT_ENTRY_CAP, DEFAULT_EPS
 
 TWO_PI = 2.0 * math.pi
@@ -42,24 +46,14 @@ INF = "inf"
 
 CuspIndex = Union[int, str]
 
-_perm_cache: dict[tuple[int, int, int], np.ndarray] = {}
 
-
-def _scale_perm(p: int, d: int, j: int) -> np.ndarray:
-    """Flat-index permutation of x -> j*x mod p."""
-    key = (p, d, j % p)
-    perm = _perm_cache.get(key)
-    if perm is None:
-        digits = digit_table(p, d)
-        weights = p ** np.arange(d, dtype=np.int64)
-        perm = ((j * digits) % p) @ weights
-        perm.setflags(write=False)
-        _perm_cache[key] = perm
-    return perm
-
-
-def _neg_perm(p: int, d: int) -> np.ndarray:
-    return _scale_perm(p, d, p - 1)
+def _scaled(values: np.ndarray, p: int, d: int, j: int) -> np.ndarray:
+    """The flat values of x -> f(j x mod p), one gather per coordinate axis."""
+    idx = (j * np.arange(p)) % p
+    t = values.reshape((p,) * d)
+    for ax in range(d):
+        t = np.take(t, idx, axis=ax)
+    return t.reshape(-1)
 
 
 class TestFunction:
@@ -97,7 +91,7 @@ class TestFunction:
     def is_even(self) -> bool:
         if self._even is None:
             v = self.values
-            flipped = v[_neg_perm(self.p, self.d)]
+            flipped = _scaled(v, self.p, self.d, -1)
             scale = max(1.0, float(np.abs(v).max(initial=0.0)))
             object.__setattr__(self, "_even", bool(np.abs(v - flipped).max(initial=0.0) <= 1e-12 * scale))
         return self._even
@@ -110,10 +104,7 @@ class TestFunction:
         coords = tuple(coords)
         if len(coords) != self.d:
             raise ValidationError(f"expected {self.d} coordinates, got {len(coords)}")
-        e = 0
-        for i, c in enumerate(coords):
-            e += (c % self.p) * self.p**i
-        return complex(self.values[e])
+        return complex(self.values[encode_residues(coords, self.p)])
 
     def __repr__(self):
         return f"TestFunction(p={self.p}, d={self.d}, even={self.is_even})"
@@ -131,7 +122,7 @@ def origin_indicator(p: int, d: int) -> TestFunction:
 
 def even_projection(f: TestFunction) -> TestFunction:
     """(f(x) + f(-x)) / 2."""
-    v = (f.values + f.values[_neg_perm(f.p, f.d)]) / 2.0
+    v = (f.values + _scaled(f.values, f.p, f.d, -1)) / 2.0
     return TestFunction(f.p, f.d, v)
 
 
@@ -164,7 +155,7 @@ def op_Sj(f: TestFunction, j: int) -> TestFunction:
     """Rescaling of the argument: (S_j f)(x) = f(j x), for 1 <= j <= p-1."""
     if not 1 <= j <= f.p - 1:
         raise ValidationError(f"op_Sj needs 1 <= j <= p-1, got j={j}, p={f.p}")
-    return TestFunction(f.p, f.d, f.values[_scale_perm(f.p, f.d, j)])
+    return TestFunction(f.p, f.d, _scaled(f.values, f.p, f.d, j))
 
 
 def op_M(f: TestFunction) -> TestFunction:
@@ -493,11 +484,10 @@ def srw_sum(f: TestFunction, r: int, w: int, width_cap: int = 10**6) -> complex:
     if p ** max(r, 1) > width_cap:
         raise ResourceLimitError(f"p**{max(r,1)} exceeds width cap {width_cap}")
     t1 = _tower_sums(p, r, w)
-    prod = t1[digit_table(p, d)].prod(axis=1)
-    return complex(f.values @ prod)
-
-
-_srw_prod_cache: dict[tuple[int, int, int], np.ndarray] = {}
+    t = f.values.reshape((p,) * d)
+    for _ in range(d):
+        t = t @ t1
+    return complex(t)
 
 
 def srw_profile(f: TestFunction, r: int, cell_cap: int = 5 * 10**7) -> np.ndarray:
@@ -508,23 +498,20 @@ def srw_profile(f: TestFunction, r: int, cell_cap: int = 5 * 10**7) -> np.ndarra
     if r == 0:
         return np.array([complex(f.values.sum())])
     denom = p**r
-    key = (p, d, r)
-    prod = _srw_prod_cache.get(key)
-    if prod is None:
-        if p**d * denom > cell_cap:
-            raise ResourceLimitError("srw_profile table exceeds cell cap")
-        u = np.arange(p ** (r - 1), dtype=np.int64)
-        t1w = np.empty((p, denom), dtype=np.complex128)
-        for k in range(p):
-            counts = np.bincount(((k + p * u) ** 2) % denom, minlength=denom)
-            t1w[k] = np.conj(np.fft.fft(counts))
-        digits = digit_table(p, d)
-        prod = np.ones((p**d, denom), dtype=np.complex128)
-        for i in range(d):
-            prod *= t1w[digits[:, i]]
-        prod.setflags(write=False)
-        _srw_prod_cache[key] = prod
-    return f.values @ prod
+    if p**d * denom > cell_cap:
+        raise ResourceLimitError("srw_profile table exceeds cell cap")
+    # t1w[k, w] = sum_u e^{2 pi i (k + p u)^2 w / p^r}: the conjugated FFT of
+    # the counts of each square class, one row per residue k
+    k = np.arange(p, dtype=np.int64)[:, None]
+    u = np.arange(p ** (r - 1), dtype=np.int64)[None, :]
+    cls = k * denom + ((k + p * u) ** 2) % denom
+    counts = np.bincount(cls.ravel(), minlength=p * denom).reshape(p, denom)
+    t1w = np.conj(np.fft.fft(counts, axis=1))
+    # contract coordinate 0 with t1w, then each further axis at every w at once
+    t = (f.values.reshape(-1, p) @ t1w).T  # (p^r, p^{d-1})
+    for _ in range(d - 1):
+        t = (t.reshape(denom, -1, p) @ t1w.T[:, :, None])[..., 0]
+    return t[:, 0]
 
 
 def srw_vanishing(f: TestFunction, rmax: int, tol: float = 1e-8) -> bool:

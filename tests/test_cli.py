@@ -96,6 +96,13 @@ def test_density_and_singular_and_mainterm(capsys):
     assert len(out.splitlines()) == 2
 
 
+def test_mainterm_at_high_power_of_two(capsys):
+    # the 2-adic density of n = 2^16 needs moduli up to 2^20 = the default cap
+    code, out, _ = run_cli(["mainterm", "--d", "5", "--n", "65536"], capsys)
+    assert code == 0
+    assert len(out.splitlines()) == 2
+
+
 def test_diffcheck_pass_and_fail_exit_codes(capsys):
     code, _, _ = run_cli(["diffcheck", "--d", "4", "--p", "3", "--n", "15"], capsys)
     assert code == 0
@@ -225,10 +232,3 @@ def test_write_failure_maps_to_exit_one(capsys):
         ["repnum", "--d", "4", "--nmax", "2", "--out", "/nonexistent-dir/x.csv"], capsys
     )
     assert code == 1
-
-
-def test_qs_threads_validation(monkeypatch, capsys):
-    monkeypatch.setenv("QS_THREADS", "0")
-    assert run_cli(["repnum", "--d", "4", "--nmax", "2"], capsys)[0] == 1
-    monkeypatch.setenv("QS_THREADS", "4")
-    assert run_cli(["repnum", "--d", "4", "--nmax", "2"], capsys)[0] == 0

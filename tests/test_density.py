@@ -4,6 +4,7 @@ series, and the growth/gap checks."""
 
 import cmath
 import math
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -42,6 +43,33 @@ def _a_coeff_oracle(d, q, n):
         if gcd(a, q) == 1:
             total += (_gauss_oracle(q, a) / q) ** d * cmath.exp(-2j * cmath.pi * n * a / q)
     return total
+
+
+def _two_adic_density_exact(d, n):
+    """delta_{2,d}(n) as an exact fraction.  A primitive solution of
+    Q(x) = n mod 8 (some coordinate odd) lifts to 2^{d-1} solutions at every
+    higher power of 2, and the imprimitive ones x = 2y give
+    delta(4m) = 2^{2-d} delta(m) + prim(4m), while prim(n) alone when 4 does
+    not divide n."""
+
+    def by_class(coords):
+        counts = [1] + [0] * 7
+        for _ in range(d):
+            nxt = [0] * 8
+            for s, c in enumerate(counts):
+                for t in coords:
+                    nxt[(s + t * t) % 8] += c
+            counts = nxt
+        return counts
+
+    every, even = by_class(range(8)), by_class(range(0, 8, 2))
+    total, scale = Fraction(0), Fraction(1)
+    while True:
+        total += scale * Fraction(every[n % 8] - even[n % 8], 8 ** (d - 1))
+        if n % 4:
+            return total
+        n //= 4
+        scale *= Fraction(4, 2**d)
 
 
 def test_gauss_sum_examples():
@@ -207,8 +235,17 @@ def test_local_density_p2_bruteforce_path():
     assert len(rep.terms) >= 7
     assert abs(sum(rep.terms).imag) < 1e-12
     assert rep.delta == pytest.approx(sum(rep.terms).real, abs=1e-12)
-    # next two terms are below the tail tolerance
+    # the next term vanishes
     assert abs(a_coeff_direct(5, 2 ** len(rep.terms), 12)) < 1e-9
+
+
+def test_local_density_p2_matches_exact_reference():
+    cases = [(d, n) for d in range(3, 9) for n in range(1, 41)]
+    cases += [(d, 2**16) for d in (3, 5, 8)] + [(5, 3 * 2**15), (6, 2**13 * 7)]
+    for d, n in cases:
+        rep = local_density(2, d, n)
+        assert len(rep.terms) == (n & -n).bit_length() + 4  # h = 0..ord_2(n) + 4
+        assert rep.delta == pytest.approx(float(_two_adic_density_exact(d, n)), abs=1e-12)
 
 
 def test_local_density_validation():

@@ -11,6 +11,7 @@ from quadsum.lattice import (
     enumerate_sphere,
     enumerated_counts,
     quadric_indices,
+    quadric_modulus,
     quadric_points,
     r4_jacobi,
     residue_census,
@@ -109,6 +110,15 @@ def test_quadric_points_partition():
             mod = 4 if p == 2 else p
             total = sum(len(quadric_points(p, d, a)) for a in range(mod))
             assert total == p**d
+
+
+def test_quadric_points_lie_on_their_level():
+    for p in (2, 3, 5):
+        mod = quadric_modulus(p)
+        for d in range(1, 5):
+            for a in range(mod):
+                for x in quadric_points(p, d, a):
+                    assert sum(c * c for c in x) % mod == a
 
 
 def test_quadric_points_rejects_bad_level():

@@ -159,6 +159,16 @@ def test_operator_algebra():
     assert np.allclose(lhs.values, rhs.values, atol=1e-12)
 
 
+def test_op_sj_rescales_every_coordinate():
+    for p, d in [(5, 3), (3, 4)]:
+        rng = np.random.default_rng(p * d)
+        f = TestFunction(p, d, rng.random(p**d) + 1j * rng.random(p**d))
+        for j in range(1, p):
+            g = op_Sj(f, j)
+            for x in product(range(p), repeat=d):
+                assert g.value_at(x) == f.value_at(tuple(j * c for c in x))
+
+
 def test_op_m_p2_only():
     f = constant_function(2, 3)
     g = op_M(f)
@@ -356,7 +366,7 @@ def test_cusp_check_p2_corner_conditions():
 
 
 def test_srw_sum_matches_literal():
-    for (p, d) in [(3, 2), (2, 2), (5, 1)]:
+    for (p, d) in [(3, 2), (2, 2), (5, 1), (3, 3)]:
         f = random_even_function(p, d, p + d)
         for r in (0, 1, 2, 3):
             if p ** max(r, 1) ** 1 > 200:
