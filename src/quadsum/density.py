@@ -11,6 +11,7 @@ max(1, |value|), which direct sums of <= 10**4 roots of unity meet easily.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -75,21 +76,18 @@ def gauss_sum_prime_power(p: int, h: int, a: int) -> complex:
     return epsilon(p) * jacobi_symbol(a, p) * p ** (h / 2)
 
 
-# cached per-modulus data: all S(q, a) values and the coprime index list.
-_table_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-_powered_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+# Per-modulus data: the units mod q and all S(q, a), both read-only.  The
+# bound is 64 moduli: one circle-method job list (bench/workloads.py) uses 37
+# to 41 distinct moduli, up to 2^20, so it never evicts there.
+@functools.lru_cache(maxsize=64)
 def _gauss_table(q: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _table_cache.get(q)
-    if cached is not None:
-        return cached
     t = np.arange(1, q + 1, dtype=np.int64)
     counts = np.bincount((t * t) % q, minlength=q).astype(np.float64)
     # S(q, a) = sum_s counts[s] e^{+2 pi i a s / q}: the conjugate of an FFT
     svals = np.conj(np.fft.fft(counts))
     coprime = np.nonzero(np.gcd(np.arange(q, dtype=np.int64), q) == 1)[0]
-    _table_cache[q] = (coprime, svals)
+    coprime.setflags(write=False)
+    svals.setflags(write=False)
     return coprime, svals
 
 
@@ -110,11 +108,7 @@ def a_coeff_direct(d: int, q: int, n: int, q_cap: int = DEFAULT_Q_CAP) -> comple
     if q == 1:
         return 1 + 0j
     coprime, svals = _gauss_table(q)
-    key = (q, d)
-    powered = _powered_cache.get(key)
-    if powered is None:
-        powered = (svals[coprime] / q) ** d
-        _powered_cache[key] = powered
+    powered = (svals[coprime] / q) ** d
     phases = np.exp(-2j * np.pi * ((n * coprime) % q) / q)
     return complex(powered @ phases)
 

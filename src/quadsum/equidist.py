@@ -9,6 +9,7 @@ the sup deviation) is the reported discrepancy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from statistics import median
 from typing import Optional, Sequence
@@ -51,22 +52,25 @@ def empirical_measure(
         raise ValidationError(f"empirical_measure requires odd prime p, got {p}")
     if n < 1:
         raise ValidationError(f"empirical_measure requires n >= 1, got {n}")
-    a = n % p
-    row = residue_census(d, n, p, cell_cap)[n]
+    return _measure(p, d, n, residue_census(d, n, p, cell_cap)[n], _level_support(p, d, n % p))
+
+
+def _level_support(p: int, d: int, a: int) -> np.ndarray:
+    """Encoded indices of X_{p,d}(a), without the origin when a = 0."""
     support = quadric_indices(p, d, a)
+    return support[support != 0] if a == 0 else support
+
+
+def _measure(p: int, d: int, n: int, row: np.ndarray, support: np.ndarray) -> EmpiricalMeasure:
+    """The measure of census row n on the support of its level."""
+    a = n % p
     total = int(row.sum())
     if a == 0:
-        support = support[support != 0]
         total -= int(row[0])
-    counts = row[support].astype(np.float64)
-    if total == 0:
-        return EmpiricalMeasure(
-            p=p, d=d, a=a, n=n, support=support, masses=np.zeros(len(support)),
-            points_counted=0, empty=True,
-        )
     return EmpiricalMeasure(
-        p=p, d=d, a=a, n=n, support=support, masses=counts / total,
-        points_counted=total, empty=False,
+        p=p, d=d, a=a, n=n, support=support,
+        masses=row[support] / total if total else np.zeros(len(support)),
+        points_counted=total, empty=total == 0,
     )
 
 
@@ -171,36 +175,30 @@ def decay_study(
         raise ValidationError("decay_study with d = 4 requires parity='odd'")
     if not windows:
         raise ValidationError("at least one window is required")
-    nmax = max(hi for _, hi in windows) - 1
-    residue_census(d, nmax, p, cell_cap)  # build the shared table once
-    out: list[WindowSummary] = []
     for lo, hi in windows:
         if lo < 1 or hi <= lo:
             raise ValidationError(f"bad window [{lo}, {hi})")
+    census = residue_census(d, max(hi for _, hi in windows) - 1, p, cell_cap)
+    support = _level_support(p, d, a)
+    out: list[WindowSummary] = []
+    for lo, hi in windows:
         tvs: list[float] = []
-        for n in range(lo, hi):
-            if n % p != a:
-                continue
+        for n in range(lo + (a - lo) % p, hi, p):
             if parity == "odd" and n % 2 == 0:
                 continue
             if parity == "even" and n % 2 == 1:
                 continue
-            mu = empirical_measure(d, n, p, cell_cap)
+            mu = _measure(p, d, n, census[n], support)
             if mu.empty:
                 continue
             tvs.append(tv_to_uniform(mu))
-        if tvs:
-            out.append(
-                WindowSummary(
-                    lo=lo, hi=hi, samples=len(tvs), under_sampled=len(tvs) < min_samples,
-                    median_tv=float(median(tvs)), max_tv=float(max(tvs)),
-                )
+        out.append(
+            WindowSummary(
+                lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < min_samples,
+                median_tv=float(median(tvs)) if tvs else math.nan,
+                max_tv=float(max(tvs)) if tvs else math.nan,
             )
-        else:
-            out.append(
-                WindowSummary(lo=lo, hi=hi, samples=0, under_sampled=True,
-                              median_tv=float("nan"), max_tv=float("nan"))
-            )
+        )
     return out
 
 

@@ -12,7 +12,9 @@ cross-check each other:
 
 ``residue_census`` extends the convolution path with residue classes mod p;
 it is the workhorse behind theta coefficients, histograms, and the
-equidistribution experiments.
+equidistribution experiments.  It keeps only the most recent table: callers
+work on one (d, p) at a time (a decay study and the check that reads it back,
+a growth scan), so no older table is reused, and one alone can take gigabytes.
 """
 
 from __future__ import annotations
@@ -193,8 +195,7 @@ def r4_jacobi(n: int) -> int:
 # residue machinery mod p
 # ---------------------------------------------------------------------------
 
-_qmod_cache: dict[tuple[int, int], np.ndarray] = {}
-_census_cache: dict[tuple[int, int], np.ndarray] = {}
+_kept_census: Optional[tuple[int, int, np.ndarray]] = None
 
 
 def encode_residues(coords: tuple[int, ...], p: int) -> int:
@@ -217,16 +218,10 @@ def qmod_vector(p: int, d: int) -> np.ndarray:
     """Q(x,x) at every residue vector, the outer sum of the 1-d squares over
     the coordinates: mod p for odd p, mod 4 for p = 2 (the value of the
     integer sum of bits is well defined mod 4)."""
-    key = (p, d)
-    q = _qmod_cache.get(key)
-    if q is None:
-        mod = quadric_modulus(p)
-        q = sq = np.arange(p, dtype=np.int64) ** 2 % mod
-        for _ in range(d - 1):
-            q = ((q[:, None] + sq[None, :]) % mod).ravel()
-        q.setflags(write=False)
-        _qmod_cache[key] = q
-    return q
+    q = sq = np.arange(p, dtype=np.int64) ** 2
+    for _ in range(d - 1):
+        q = np.add.outer(q, sq)
+    return q.reshape(-1) % quadric_modulus(p)
 
 
 def quadric_modulus(p: int) -> int:
@@ -261,10 +256,13 @@ def residue_census(
     cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
 ) -> np.ndarray:
     """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
-    x = e mod p (base-p encoded).  Built once per (d, p) and kept; a request
-    with a larger nmax than the kept table rebuilds it from scratch at the new
-    size.  The returned array is read-only.
+    x = e mod p (base-p encoded).  The returned array is read-only.
+
+    Only the most recent table is kept, as callers reuse nothing older: the
+    same (d, p) with no larger nmax gets a view of it, any other request drops
+    it before building its own from scratch, so the module never holds two.
     """
+    global _kept_census
     if d < 1 or nmax < 0:
         raise ValidationError(f"residue_census got d={d}, nmax={nmax}")
     if not is_prime(p):
@@ -275,10 +273,9 @@ def residue_census(
     s = isqrt(nmax)
     if (2 * s + 1) ** d > 2**63 - 1:
         raise ResourceLimitError("census counts may exceed the 64-bit cap")
-    key = (d, p)
-    cached = _census_cache.get(key)
-    if cached is not None and cached.shape[0] >= nmax + 1:
-        return cached[: nmax + 1]
+    if _kept_census is not None and _kept_census[:2] == (d, p) and _kept_census[2].shape[0] > nmax:
+        return _kept_census[2][: nmax + 1]
+    _kept_census = None  # free the old table before the new one is allocated
     arr = np.zeros((nmax + 1, 1), dtype=np.int64)
     arr[0, 0] = 1
     stride = 1
@@ -293,7 +290,7 @@ def residue_census(
         arr = new
         stride *= p
     arr.setflags(write=False)
-    _census_cache[key] = arr
+    _kept_census = (d, p, arr)
     return arr
 
 

@@ -4,7 +4,8 @@ truncation, and numerical verification of the transformation identities.
 
 Every operator on (Z/pZ)^d (L, S_j, the Fourier transform, the theta
 contraction and the S(r, w) sums) acts on the (p,)*d value tensor one
-coordinate axis at a time, since Q(x,x) = x_1^2 + ... + x_d^2 is diagonal.
+coordinate axis at a time, since Q(x,x) = x_1^2 + ... + x_d^2 is diagonal;
+L reads its phase at Q(x,x) mod p, the outer sum of the 1-d squares.
 
 Conventions fixed throughout:
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .arith import is_prime, j_prime_k
 from .errors import ResourceLimitError, ValidationError
-from .lattice import encode_residues, qmod_vector, quadric_indices, quadric_modulus, residue_census
+from .lattice import encode_residues, qmod_vector, quadric_modulus, residue_census
 from .limits import DEFAULT_CENSUS_CELL_CAP, DEFAULT_ENTRY_CAP, DEFAULT_EPS
 
 TWO_PI = 2.0 * math.pi
@@ -144,18 +145,26 @@ def finite_fourier(f: TestFunction) -> TestFunction:
     return TestFunction(p, d, np.ascontiguousarray(t).reshape(-1))
 
 
+def _commuting(f: TestFunction, values: np.ndarray) -> TestFunction:
+    """A new function on f's space for an operator that commutes with
+    x -> -x, so it is even exactly when f is and keeps f's evenness flag."""
+    g = TestFunction(f.p, f.d, values)
+    object.__setattr__(g, "_even", f._even)
+    return g
+
+
 def op_L(f: TestFunction, k: int = 1) -> TestFunction:
     """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
     q = qmod_vector(f.p, f.d)
     phase = np.exp(-2j * np.pi * ((k * q) % f.p) / f.p)
-    return TestFunction(f.p, f.d, f.values * phase)
+    return _commuting(f, f.values * phase)
 
 
 def op_Sj(f: TestFunction, j: int) -> TestFunction:
     """Rescaling of the argument: (S_j f)(x) = f(j x), for 1 <= j <= p-1."""
     if not 1 <= j <= f.p - 1:
         raise ValidationError(f"op_Sj needs 1 <= j <= p-1, got j={j}, p={f.p}")
-    return TestFunction(f.p, f.d, _scaled(f.values, f.p, f.d, j))
+    return _commuting(f, _scaled(f.values, f.p, f.d, j))
 
 
 def op_M(f: TestFunction) -> TestFunction:
@@ -165,7 +174,7 @@ def op_M(f: TestFunction) -> TestFunction:
         raise ValidationError(f"op_M is defined only for p = 2, got p={f.p}")
     q = qmod_vector(2, f.d)  # already reduced mod 4
     phase = np.exp(-2j * np.pi * q / 4)
-    return TestFunction(2, f.d, f.values * phase)
+    return _commuting(f, f.values * phase)
 
 
 def random_even_function(p: int, d: int, seed: int) -> TestFunction:
@@ -185,9 +194,9 @@ def random_cusp_function(p: int, d: int, seed: int) -> TestFunction:
         pinned.add(2**d - 1)  # the all-ones corner
     for e in pinned:
         v[e] = 0.0
-    mod = quadric_modulus(p)
-    for a in range(mod):
-        idx = quadric_indices(p, d, a)
+    q = qmod_vector(p, d)
+    for a in range(quadric_modulus(p)):
+        idx = np.nonzero(q == a)[0]
         free = np.array([e for e in idx if int(e) not in pinned], dtype=np.int64)
         if free.size == 0:
             continue
@@ -448,8 +457,9 @@ def cusp_check(f: TestFunction, tol: float = 1e-8) -> CuspCheck:
     ascending order of the level, then the corner conditions."""
     p, d = f.p, f.d
     v = f.values
+    q = qmod_vector(p, d)
     for a in range(quadric_modulus(p)):
-        if abs(v[quadric_indices(p, d, a)].sum()) > tol:
+        if abs(v[q == a].sum()) > tol:
             return CuspCheck(is_cusp=False, failing_condition=f"level-sum a={a}")
     if p == 2 and abs(v[2**d - 1]) > tol:
         return CuspCheck(is_cusp=False, failing_condition="corner (1,...,1)")

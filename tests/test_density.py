@@ -10,6 +10,7 @@ from math import gcd
 import pytest
 
 from quadsum.density import (
+    _gauss_table,
     a_coeff_closed,
     a_coeff_direct,
     density_gap_check,
@@ -131,6 +132,13 @@ def test_a_coeff_direct_is_the_defining_sum():
         (4, 1, 5), (3, 27, 9), (5, 16, 4), (4, 45, 6),
     ]:
         assert a_coeff_direct(d, q, n) == pytest.approx(_a_coeff_oracle(d, q, n), abs=1e-10)
+
+
+def test_gauss_table_cache_is_bounded_and_shared_read_only():
+    assert _gauss_table.cache_info().maxsize == 64
+    coprime, svals = _gauss_table(27)
+    assert _gauss_table(27)[0] is coprime  # every caller gets the same arrays,
+    assert not coprime.flags.writeable and not svals.flags.writeable  # so none may write
 
 
 def test_a_coeff_examples():

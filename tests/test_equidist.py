@@ -1,6 +1,8 @@
 """Equidistribution-layer tests: empirical measures, discrepancies, Weyl
 sums, windowed decay studies, and the coefficient-growth table."""
 
+from statistics import median
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,23 @@ def test_decay_study_validation():
         decay_study(5, 3, 1, [])
     with pytest.raises(ValidationError):
         decay_study(5, 3, 1, [(0, 16)])
+    with pytest.raises(ValidationError):  # rejected before a census of 2.4e9 cells is sized
+        decay_study(5, 3, 1, [(0, 10**7)])
+
+
+def test_decay_study_matches_the_per_n_measures():
+    for d, p, a, parity in [(5, 3, 1, None), (5, 3, 0, None), (4, 3, 1, "odd")]:
+        windows = dyadic_windows(4, 8)
+        rows = decay_study(d, p, a, windows, parity=parity)
+        for row, (lo, hi) in zip(rows, windows):
+            tvs = []
+            for n in range(lo, hi):
+                if n % p == a and (parity is None or n % 2 == 1):
+                    mu = empirical_measure(d, n, p)
+                    if not mu.empty:
+                        tvs.append(tv_to_uniform(mu))
+            assert (row.lo, row.hi, row.samples) == (lo, hi, len(tvs))
+            assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
 
 
 def test_coeff_growth_scan_requires_cusp():

@@ -1,6 +1,9 @@
 """Lattice counting tests: the three independent counting paths against each
 other, quadric point sets, and residue histograms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -143,6 +146,17 @@ def test_residue_census_matches_enumeration():
             enumerate_sphere(d, n, visit)
             row = census[n]
             assert {e: int(row[e]) for e in np.nonzero(row)[0]} == hist
+
+
+def test_residue_census_keeps_only_the_latest_table():
+    first = residue_census(3, 40, 5)
+    kept = weakref.ref(first if first.base is None else first.base)
+    again = residue_census(3, 20, 5)
+    assert np.shares_memory(again, first) and np.array_equal(again, first[:21])
+    del first, again
+    residue_census(2, 10, 3)
+    gc.collect()
+    assert kept() is None
 
 
 def test_residue_histogram_example_unit_sphere():

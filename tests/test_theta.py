@@ -169,6 +169,38 @@ def test_op_sj_rescales_every_coordinate():
                 assert g.value_at(x) == f.value_at(tuple(j * c for c in x))
 
 
+def test_op_l_multiplies_by_the_quadratic_phase():
+    for p, d in [(5, 3), (3, 4)]:
+        rng = np.random.default_rng(p + d)
+        f = TestFunction(p, d, rng.random(p**d) + 1j * rng.random(p**d))
+        for k in range(p):
+            g = op_L(f, k)
+            for x in product(range(p), repeat=d):
+                want = cmath.exp(-2j * cmath.pi * k * sum(c * c for c in x) / p) * f.value_at(x)
+                assert abs(g.value_at(x) - want) <= 1e-12  # the oracle's exponent is unreduced
+
+
+def test_op_m_multiplies_by_the_bit_count_phase():
+    rng = np.random.default_rng(11)
+    f = TestFunction(2, 3, rng.random(8) + 1j * rng.random(8))
+    g = op_M(f)
+    for x in product(range(2), repeat=3):
+        assert abs(g.value_at(x) - cmath.exp(-0.5j * cmath.pi * sum(x)) * f.value_at(x)) <= 1e-14
+
+
+def test_operators_carry_the_evenness_flag():
+    for p, d in [(5, 3), (3, 4), (2, 3)]:
+        rng = np.random.default_rng(p * d)
+        raw = TestFunction(p, d, rng.random(p**d) + 1j * rng.random(p**d))
+        even = even_projection(raw)
+        assert even.is_even and raw.is_even == (p == 2)  # every function is even at p = 2
+        for f in (raw, even):
+            images = [op_L(f, 2), op_Sj(f, p - 1)] + ([op_M(f)] if p == 2 else [op_L(op_Sj(f, 2), 3)])
+            for g in images:
+                assert g._even is not None  # copied, not left to be recomputed
+                assert g._even == TestFunction(p, d, g.values).is_even == f.is_even
+
+
 def test_op_m_p2_only():
     f = constant_function(2, 3)
     g = op_M(f)
