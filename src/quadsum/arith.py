@@ -42,6 +42,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def require_prime(p: int, caller: str, odd: bool = False) -> None:
+    """Raise ValidationError unless p is prime (an odd prime when ``odd``)."""
+    if (odd and p == 2) or not is_prime(p):
+        raise ValidationError(f"{caller} requires {'odd ' if odd else ''}prime p, got {p}")
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by sieve of Eratosthenes."""
     if n < 2:
@@ -145,8 +151,7 @@ def p_adic_split(n: int, p: int) -> PAdicSplit:
     """Split n >= 1 as p**ord * unit.  n = 0 is rejected: ord_p(0) is undefined."""
     if n < 1:
         raise ValidationError(f"p_adic_split requires n >= 1, got {n}")
-    if not is_prime(p):
-        raise ValidationError(f"p_adic_split requires prime p, got {p}")
+    require_prime(p, "p_adic_split")
     ord_ = 0
     unit = n
     while unit % p == 0:
@@ -160,8 +165,7 @@ def j_prime_k(j: int, p: int) -> tuple[int, int]:
     """The involution partner j' in [1, p-1] with 4*j*j' + 1 = 0 mod p,
     together with the integer k_j = (4*j*j' + 1) / p.
     """
-    if not is_prime(p) or p == 2:
-        raise ValidationError(f"j_prime_k requires odd prime p, got {p}")
+    require_prime(p, "j_prime_k", odd=True)
     if not 1 <= j <= p - 1:
         raise ValidationError(f"j must lie in [1, {p - 1}], got {j}")
     jp = (-pow(4 * j, -1, p)) % p

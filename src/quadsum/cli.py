@@ -13,10 +13,10 @@ import json
 import re
 import sys
 from math import gcd
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import density, equidist, lattice, theta
-from .arith import factorize, is_prime
+from .arith import factorize, require_prime
 from .errors import EmptyMeasureError, QuadsumError, ResourceLimitError, ValidationError
 from .limits import DEFAULT_EPS, DEFAULT_PRIME_CUTOFF
 
@@ -131,6 +131,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+_KINDS = ("ones", "origin", "random-even", "random-cusp")
+
+
 def _function_from_kind(kind: str, p: int, d: int, seed: int) -> theta.TestFunction:
     if kind == "ones":
         return theta.constant_function(p, d)
@@ -143,16 +146,38 @@ def _function_from_kind(kind: str, p: int, d: int, seed: int) -> theta.TestFunct
     raise ValidationError(f"unknown test-function kind {kind!r}")
 
 
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"an odd prime is required, got {p}")
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (schema, rows, verification_failed)
+# subcommands: each is declared once, by ``_command`` on its handler, with its
+# flags in help order; a handler returns (schema, rows, verification_failed)
 # ---------------------------------------------------------------------------
 
+_COMMANDS: dict[str, tuple[str, tuple, Callable]] = {}
 
+
+def _command(name: str, summary: str, *flags: tuple[str, dict]):
+    """Register the decorated handler as subcommand ``name``."""
+
+    def register(handler):
+        _COMMANDS[name] = (summary, flags, handler)
+        return handler
+
+    return register
+
+
+def _required(flag: str, type=int) -> tuple[str, dict]:
+    return flag, {"type": type, "required": True}
+
+
+def _optional(flag: str, default=None, type=int, **kw) -> tuple[str, dict]:
+    return flag, {"type": type, "default": default, **kw}
+
+
+def _kind(default: str) -> tuple[str, dict]:
+    return "--kind", {"default": default, "choices": _KINDS}
+
+
+@_command("repnum", "representation counts: enumeration vs convolution vs exact formula",
+          _required("--d"), _required("--nmax"))
 def _cmd_repnum(args) -> tuple[list, list, bool]:
     d, nmax = args.d, args.nmax
     enum = lattice.enumerated_counts(d, nmax)
@@ -168,6 +193,8 @@ def _cmd_repnum(args) -> tuple[list, list, bool]:
     return schema, rows, failed
 
 
+@_command("quadric", "finite quadric point sets and cardinalities",
+          _required("--p"), _required("--d"), _optional("--a"))
 def _cmd_quadric(args) -> tuple[list, list, bool]:
     p, d = args.p, args.d
     mod = lattice.quadric_modulus(p)
@@ -183,6 +210,9 @@ def _cmd_quadric(args) -> tuple[list, list, bool]:
     return schema, rows, False
 
 
+@_command("gauss", "quadratic Gauss sums, direct vs closed form",
+          _required("--q"), _optional("--a"),
+          _optional("--amax", help="scan a = 1..amax (default min(q, 32))"))
 def _cmd_gauss(args) -> tuple[list, list, bool]:
     q = args.q
     if args.a is not None:
@@ -210,9 +240,11 @@ def _cmd_gauss(args) -> tuple[list, list, bool]:
     return schema, rows, failed
 
 
+@_command("acoeff", "series coefficients A_d(p^h, n): closed form vs direct sum",
+          _required("--d"), _required("--p"), _optional("--hmax", 4), _optional("--nmax", 20))
 def _cmd_acoeff(args) -> tuple[list, list, bool]:
     d, p = args.d, args.p
-    _require_odd_prime(p)
+    require_prime(p, args.command, odd=True)
     schema = [("d", "int"), ("p", "int"), ("h", "int"), ("n", "int"),
               ("a_closed", "complex"), ("a_direct", "complex"), ("abs_diff", "real"), ("match", "bool")]
     rows = []
@@ -229,6 +261,8 @@ def _cmd_acoeff(args) -> tuple[list, list, bool]:
     return schema, rows, failed
 
 
+@_command("density", "p-adic local density with its term expansion",
+          _required("--p"), _required("--d"), _required("--n"))
 def _cmd_density(args) -> tuple[list, list, bool]:
     rep = density.local_density(args.p, args.d, args.n)
     schema = [("p", "int"), ("d", "int"), ("n", "int"), ("h", "int"),
@@ -240,12 +274,16 @@ def _cmd_density(args) -> tuple[list, list, bool]:
     return schema, rows, False
 
 
+@_command("singular", "truncated singular series",
+          _required("--d"), _required("--n"), _optional("--prime-cutoff", DEFAULT_PRIME_CUTOFF))
 def _cmd_singular(args) -> tuple[list, list, bool]:
     val = density.singular_series(args.d, args.n, args.prime_cutoff)
     schema = [("d", "int"), ("n", "int"), ("prime_cutoff", "int"), ("value", "real")]
     return schema, [{"d": val.d, "n": val.n, "prime_cutoff": val.prime_cutoff, "value": val.value}], False
 
 
+@_command("mainterm", "archimedean factor times singular series",
+          _required("--d"), _required("--n"), _optional("--prime-cutoff", DEFAULT_PRIME_CUTOFF))
 def _cmd_mainterm(args) -> tuple[list, list, bool]:
     series = density.singular_series(args.d, args.n, args.prime_cutoff)
     mt = density.main_term(args.d, args.n, args.prime_cutoff)
@@ -255,6 +293,9 @@ def _cmd_mainterm(args) -> tuple[list, list, bool]:
                      "singular": series.value, "main_term": mt}], False
 
 
+@_command("diffcheck", "growth of r_d(p^2 n) - r_d(n)",
+          _required("--d"), _required("--p"), _required("--n"),
+          _optional("--coeff", type=float, help="bound coefficient for d >= 5"))
 def _cmd_diffcheck(args) -> tuple[list, list, bool]:
     chk = density.difference_check(args.d, args.p, args.n, coeff=args.coeff)
     schema = [("d", "int"), ("p", "int"), ("n", "int"), ("lhs", "int"), ("bound", "real"), ("pass", "bool")]
@@ -262,6 +303,9 @@ def _cmd_diffcheck(args) -> tuple[list, list, bool]:
                      "bound": chk.bound, "pass": chk.passed}], not chk.passed
 
 
+@_command("theta-coeffs", "weighted theta coefficients",
+          _required("--p"), _required("--d"), _required("--nmax"), _kind("random-even"),
+          _optional("--seed", 0))
 def _cmd_theta_coeffs(args) -> tuple[list, list, bool]:
     f = _function_from_kind(args.kind, args.p, args.d, args.seed)
     series = theta.theta_coeffs(f, args.nmax)
@@ -270,9 +314,13 @@ def _cmd_theta_coeffs(args) -> tuple[list, list, bool]:
     return schema, rows, False
 
 
+@_command("theta-verify",
+          "transformation identities: summation formula, generator table, weak modularity",
+          _required("--p"), _required("--d"), _required("--tau", parse_tau),
+          _optional("--eps", DEFAULT_EPS, float), _optional("--seed", 0))
 def _cmd_theta_verify(args) -> tuple[list, list, bool]:
     p, d = args.p, args.d
-    _require_odd_prime(p)
+    require_prime(p, args.command, odd=True)
     f = theta.random_even_function(p, d, args.seed)
     rows = []
     failed = False
@@ -293,6 +341,8 @@ def _cmd_theta_verify(args) -> tuple[list, list, bool]:
     return schema, rows, failed
 
 
+@_command("cusp-check", "cusp vanishing conditions for a test function",
+          _required("--p"), _required("--d"), _kind("random-cusp"), _optional("--seed", 0))
 def _cmd_cusp_check(args) -> tuple[list, list, bool]:
     f = _function_from_kind(args.kind, args.p, args.d, args.seed)
     chk = theta.cusp_check(f)
@@ -302,6 +352,9 @@ def _cmd_cusp_check(args) -> tuple[list, list, bool]:
                      "is_cusp": chk.is_cusp, "failing_condition": chk.failing_condition}], False
 
 
+@_command("srw", "|S(r, w)| over the full (r, w) grid",
+          _required("--p"), _required("--d"), _optional("--rmax", 3), _kind("random-cusp"),
+          _optional("--seed", 0))
 def _cmd_srw(args) -> tuple[list, list, bool]:
     f = _function_from_kind(args.kind, args.p, args.d, args.seed)
     schema = [("r", "int"), ("w", "int"), ("abs_value", "real"), ("normalized", "real")]
@@ -315,6 +368,9 @@ def _cmd_srw(args) -> tuple[list, list, bool]:
     return schema, rows, False
 
 
+@_command("equidist", "windowed TV-decay study of sphere points mod p",
+          _required("--d"), _required("--p"), _required("--a"), _optional("--kmin", 6),
+          _optional("--kmax", 10), _optional("--parity", "all", str, choices=("odd", "even", "all")))
 def _cmd_equidist(args) -> tuple[list, list, bool]:
     windows = equidist.dyadic_windows(args.kmin, args.kmax)
     parity = None if args.parity == "all" else args.parity
@@ -329,6 +385,8 @@ def _cmd_equidist(args) -> tuple[list, list, bool]:
     return schema, rows, False
 
 
+@_command("growth", "cusp coefficient growth table",
+          _required("--d"), _required("--p"), _required("--nmax"), _optional("--seed", 0))
 def _cmd_growth(args) -> tuple[list, list, bool]:
     f = theta.random_cusp_function(args.p, args.d, args.seed)
     rows_raw = equidist.coeff_growth_scan(f, args.d, args.nmax)
@@ -340,120 +398,15 @@ def _cmd_growth(args) -> tuple[list, list, bool]:
     return schema, rows, False
 
 
-_HANDLERS = {
-    "repnum": _cmd_repnum,
-    "quadric": _cmd_quadric,
-    "gauss": _cmd_gauss,
-    "acoeff": _cmd_acoeff,
-    "density": _cmd_density,
-    "singular": _cmd_singular,
-    "mainterm": _cmd_mainterm,
-    "diffcheck": _cmd_diffcheck,
-    "theta-coeffs": _cmd_theta_coeffs,
-    "theta-verify": _cmd_theta_verify,
-    "cusp-check": _cmd_cusp_check,
-    "srw": _cmd_srw,
-    "equidist": _cmd_equidist,
-    "growth": _cmd_growth,
-}
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quadsum", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-
-    def add(name, **kw):
-        sp = sub.add_parser(name, **kw)
+    for name, (summary, flags, _) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        return sp
-
-    sp = add("repnum", help="representation counts: enumeration vs convolution vs exact formula")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-
-    sp = add("quadric", help="finite quadric point sets and cardinalities")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--a", type=int, default=None)
-
-    sp = add("gauss", help="quadratic Gauss sums, direct vs closed form")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--amax", type=int, default=None,
-                    help="scan a = 1..amax (default min(q, 32))")
-
-    sp = add("acoeff", help="series coefficients A_d(p^h, n): closed form vs direct sum")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--hmax", type=int, default=4)
-    sp.add_argument("--nmax", type=int, default=20)
-
-    sp = add("density", help="p-adic local density with its term expansion")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = add("singular", help="truncated singular series")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--prime-cutoff", dest="prime_cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
-
-    sp = add("mainterm", help="archimedean factor times singular series")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--prime-cutoff", dest="prime_cutoff", type=int, default=DEFAULT_PRIME_CUTOFF)
-
-    sp = add("diffcheck", help="growth of r_d(p^2 n) - r_d(n)")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--coeff", type=float, default=None, help="bound coefficient for d >= 5")
-
-    sp = add("theta-coeffs", help="weighted theta coefficients")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--kind", default="random-even",
-                    choices=("ones", "origin", "random-even", "random-cusp"))
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("theta-verify", help="transformation identities: summation formula, generator table, weak modularity")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--tau", type=str, required=True)
-    sp.add_argument("--eps", type=float, default=DEFAULT_EPS)
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("cusp-check", help="cusp vanishing conditions for a test function")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--kind", default="random-cusp",
-                    choices=("ones", "origin", "random-even", "random-cusp"))
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("srw", help="|S(r, w)| over the full (r, w) grid")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--rmax", type=int, default=3)
-    sp.add_argument("--kind", default="random-cusp",
-                    choices=("ones", "origin", "random-even", "random-cusp"))
-    sp.add_argument("--seed", type=int, default=0)
-
-    sp = add("equidist", help="windowed TV-decay study of sphere points mod p")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--kmin", type=int, default=6)
-    sp.add_argument("--kmax", type=int, default=10)
-    sp.add_argument("--parity", choices=("odd", "even", "all"), default="all")
-
-    sp = add("growth", help="cusp coefficient growth table")
-    sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--nmax", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-
+        for flag, kw in flags:
+            sp.add_argument(flag, **kw)
     return parser
 
 
@@ -465,9 +418,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1
-        if getattr(args, "tau", None) is not None and isinstance(args.tau, str):
-            args.tau = parse_tau(args.tau)
-        schema, rows, failed = _HANDLERS[args.command](args)
+        schema, rows, failed = _COMMANDS[args.command][2](args)
         emit(schema, rows, args.fmt, args.out)
         return 3 if failed else 0
     except (ValidationError, EmptyMeasureError) as exc:

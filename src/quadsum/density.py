@@ -21,15 +21,18 @@ import numpy as np
 from .arith import (
     epsilon,
     epsilon_power,
-    is_prime,
     jacobi_symbol,
     largest_prime_factor,
     p_adic_split,
     primes_upto,
+    require_prime,
 )
 from .errors import ResourceLimitError, ValidationError
 from .lattice import count_range, r4_jacobi
-from .limits import DEFAULT_PRIME_CUTOFF, DEFAULT_Q_CAP
+from .limits import DEFAULT_PRIME_CUTOFF, Q_CAP
+
+#: absolute tolerance of the density gap and phase-sum checks
+CHECK_TOL = 1e-9
 
 
 def gamma_half_integer(d: int) -> float:
@@ -52,12 +55,12 @@ def gamma_half_integer(d: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def gauss_sum(q: int, a: int, q_cap: int = DEFAULT_Q_CAP) -> complex:
+def gauss_sum(q: int, a: int) -> complex:
     """S(q,a) = sum_{t=1}^{q} e^{2 pi i a t^2 / q} by direct summation."""
     if q < 1:
         raise ValidationError(f"gauss_sum requires q >= 1, got {q}")
-    if q > q_cap:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {q_cap}")
+    if q > Q_CAP:
+        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     t = np.arange(1, q + 1, dtype=np.int64)
     return complex(np.exp(2j * np.pi * ((a * t * t) % q) / q).sum())
 
@@ -65,8 +68,7 @@ def gauss_sum(q: int, a: int, q_cap: int = DEFAULT_Q_CAP) -> complex:
 def gauss_sum_prime_power(p: int, h: int, a: int) -> complex:
     """S(p**h, a) for odd prime p and gcd(a, p) = 1:
     epsilon_p (a/p) p^{h/2} for odd h, p^{h/2} for even h."""
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"gauss_sum_prime_power requires odd prime p, got {p}")
+    require_prime(p, "gauss_sum_prime_power", odd=True)
     if h < 1:
         raise ValidationError(f"gauss_sum_prime_power requires h >= 1, got {h}")
     if gcd(a, p) != 1:
@@ -91,7 +93,7 @@ def _gauss_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return coprime, svals
 
 
-def a_coeff_direct(d: int, q: int, n: int, q_cap: int = DEFAULT_Q_CAP) -> complex:
+def a_coeff_direct(d: int, q: int, n: int) -> complex:
     """A_d(q,n) = sum over a in [1,q], gcd(a,q)=1 of (S(q,a)/q)^d e^{-2 pi i n a / q}.
 
     The Gauss sums are evaluated from their defining sums (tabulated once per
@@ -103,8 +105,8 @@ def a_coeff_direct(d: int, q: int, n: int, q_cap: int = DEFAULT_Q_CAP) -> comple
         raise ValidationError(f"a_coeff_direct requires q >= 1, got {q}")
     if n < 0:
         raise ValidationError(f"a_coeff_direct requires n >= 0, got {n}")
-    if q > q_cap:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {q_cap}")
+    if q > Q_CAP:
+        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     if q == 1:
         return 1 + 0j
     coprime, svals = _gauss_table(q)
@@ -116,8 +118,7 @@ def a_coeff_direct(d: int, q: int, n: int, q_cap: int = DEFAULT_Q_CAP) -> comple
 def a_coeff_closed(d: int, p: int, h: int, n: int) -> complex:
     """Closed form of A_d(p**h, n) for odd prime p (three cases for even d,
     five for odd d, branching on h against ord_p(n))."""
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"a_coeff_closed requires odd prime p, got {p}")
+    require_prime(p, "a_coeff_closed", odd=True)
     if h < 1:
         raise ValidationError(f"a_coeff_closed requires h >= 1, got {h}")
     if n < 1:
@@ -172,12 +173,7 @@ def _odd_constants(p: int, d: int) -> dict[str, float]:
     return {"E": e_const, "F": f_const}
 
 
-def local_density(
-    p: int,
-    d: int,
-    n: int,
-    q_cap: int = DEFAULT_Q_CAP,
-) -> DensityReport:
+def local_density(p: int, d: int, n: int) -> DensityReport:
     """The p-adic local density delta_{p,d}(n) = sum_h A_d(p^h, n).
 
     Odd p: evaluated by the explicit closed form (the series is finite, terms
@@ -193,12 +189,11 @@ def local_density(
         raise ValidationError(f"local_density requires d >= 3, got {d}")
     if n < 1:
         raise ValidationError(f"local_density requires n >= 1, got {n}")
-    if not is_prime(p):
-        raise ValidationError(f"local_density requires prime p, got {p}")
+    require_prime(p, "local_density")
 
     if p == 2:
         o = p_adic_split(n, 2).ord
-        terms = [a_coeff_direct(d, 2**h, n, q_cap) for h in range(o + 5)]
+        terms = [a_coeff_direct(d, 2**h, n) for h in range(o + 5)]
         total = sum(terms)
         return DensityReport(
             p=2, d=d, n=n, terms=tuple(terms), delta=float(total.real), method="brute-force"
@@ -288,8 +283,7 @@ def difference_check(d: int, p: int, n: int, coeff: float | None = None) -> Diff
     """
     if d < 4:
         raise ValidationError(f"difference_check requires d >= 4, got {d}")
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"difference_check requires odd prime p, got {p}")
+    require_prime(p, "difference_check", odd=True)
     if n < 1:
         raise ValidationError(f"difference_check requires n >= 1, got {n}")
     if d == 4:
@@ -316,11 +310,10 @@ class DensityGapCheck:
     passed: bool
 
 
-def density_gap_check(p: int, d: int, n: int, tol: float = 1e-9) -> DensityGapCheck:
+def density_gap_check(p: int, d: int, n: int) -> DensityGapCheck:
     """p^{d-2} delta_{p,d}(p^2 n) - delta_{p,d}(n) against its n-free closed
     value: (p^{d-2} - 1) C_{p,d} for even d, (p^{d-2} - 1) F_{p,d} for odd d."""
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"density_gap_check requires odd prime p, got {p}")
+    require_prime(p, "density_gap_check", odd=True)
     if d < 3:
         raise ValidationError(f"density_gap_check requires d >= 3, got {d}")
     if n < 1:
@@ -330,7 +323,7 @@ def density_gap_check(p: int, d: int, n: int, tol: float = 1e-9) -> DensityGapCh
     scale = consts["C"] if d % 2 == 0 else consts["F"]
     expected = (p ** (d - 2) - 1) * scale
     return DensityGapCheck(
-        p=p, d=d, n=n, value=value, expected=expected, passed=abs(value - expected) <= tol
+        p=p, d=d, n=n, value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL
     )
 
 
@@ -341,37 +334,33 @@ class PhaseSumCheck:
     passed: bool
 
 
-def unit_phase_sum_check(p: int, n: int, tol: float = 1e-9, q_cap: int = DEFAULT_Q_CAP) -> PhaseSumCheck:
+def unit_phase_sum_check(p: int, n: int) -> PhaseSumCheck:
     """sum over units a mod p^h of e^{-2 pi i n a / p^h} at h = ord_p(n) + 1,
     against the closed value -p^{ord_p(n)} (a Ramanujan-type sum)."""
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"unit_phase_sum_check requires odd prime p, got {p}")
+    require_prime(p, "unit_phase_sum_check", odd=True)
     split = p_adic_split(n, p)
     h = split.ord + 1
     q = p**h
-    if q > q_cap:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {q_cap}")
+    if q > Q_CAP:
+        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     coprime, _ = _gauss_table(q)
     value = complex(np.exp(-2j * np.pi * ((n * coprime) % q) / q).sum())
     expected = complex(-(p**split.ord))
-    return PhaseSumCheck(value=value, expected=expected, passed=abs(value - expected) <= tol)
+    return PhaseSumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
 
 
-def twisted_unit_phase_sum_check(
-    p: int, h: int, n: int, tol: float = 1e-9, q_cap: int = DEFAULT_Q_CAP
-) -> PhaseSumCheck:
+def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> PhaseSumCheck:
     """sum over units a mod p^h of (a/p) e^{-2 pi i n a / p^h} against its
     closed form: p^{ord+1/2} epsilon_p (-n/p^ord / p) when h = ord_p(n) + 1,
     and 0 when h > ord_p(n) + 1 (also 0 for h <= ord: a plain character sum).
     """
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"twisted_unit_phase_sum_check requires odd prime p, got {p}")
+    require_prime(p, "twisted_unit_phase_sum_check", odd=True)
     if h < 1:
         raise ValidationError(f"twisted_unit_phase_sum_check requires h >= 1, got {h}")
     split = p_adic_split(n, p)
     q = p**h
-    if q > q_cap:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {q_cap}")
+    if q > Q_CAP:
+        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     coprime, _ = _gauss_table(q)
     legendre = np.array([jacobi_symbol(a, p) for a in range(p)], dtype=np.float64)
     twists = legendre[coprime % p]
@@ -382,4 +371,4 @@ def twisted_unit_phase_sum_check(
         )
     else:
         expected = 0j
-    return PhaseSumCheck(value=value, expected=complex(expected), passed=abs(value - expected) <= tol)
+    return PhaseSumCheck(value=value, expected=complex(expected), passed=abs(value - expected) <= CHECK_TOL)

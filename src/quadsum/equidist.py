@@ -16,11 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import require_prime
 from .errors import EmptyMeasureError, ValidationError
 from .lattice import decode_index, quadric_indices, residue_census
-from .limits import DEFAULT_CENSUS_CELL_CAP
 from .theta import TestFunction, cusp_check, theta_coeffs
+
+#: a decay-study window with fewer admissible n than this is flagged under-sampled
+MIN_SAMPLES = 30
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,11 @@ class EmpiricalMeasure:
         return [decode_index(int(e), self.p, self.d) for e in self.support]
 
 
-def empirical_measure(
-    d: int, n: int, p: int, cell_cap: int = DEFAULT_CENSUS_CELL_CAP
-) -> EmpiricalMeasure:
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"empirical_measure requires odd prime p, got {p}")
+def empirical_measure(d: int, n: int, p: int) -> EmpiricalMeasure:
+    require_prime(p, "empirical_measure", odd=True)
     if n < 1:
         raise ValidationError(f"empirical_measure requires n >= 1, got {n}")
-    return _measure(p, d, n, residue_census(d, n, p, cell_cap)[n], _level_support(p, d, n % p))
+    return _measure(p, d, n, residue_census(d, n, p)[n], _level_support(p, d, n % p))
 
 
 def _level_support(p: int, d: int, a: int) -> np.ndarray:
@@ -115,8 +114,7 @@ def weyl_sum(f: TestFunction, d: int, n: int) -> complex:
     if f.d != d:
         raise ValidationError(f"test function has d={f.d}, asked for d={d}")
     p = f.p
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"weyl_sum requires odd prime p, got {p}")
+    require_prime(p, "weyl_sum", odd=True)
     if n < 1:
         raise ValidationError(f"weyl_sum requires n >= 1, got {n}")
     row = residue_census(d, n, p)[n]
@@ -148,25 +146,18 @@ def dyadic_windows(kmin: int, kmax: int) -> list[tuple[int, int]]:
 
 
 def decay_study(
-    d: int,
-    p: int,
-    a: int,
-    windows: Sequence[tuple[int, int]],
-    parity: Optional[str] = None,
-    min_samples: int = 30,
-    cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
+    d: int, p: int, a: int, windows: Sequence[tuple[int, int]], parity: Optional[str] = None
 ) -> list[WindowSummary]:
     """Median and max TV discrepancy over n = a mod p in each window.
 
     For d = 4 the study must be restricted to odd n (the even orbits carry
     bounded representation numbers and cannot equidistribute), so the parity
-    filter is mandatory there.  Windows with fewer than ``min_samples``
+    filter is mandatory there.  Windows with fewer than ``MIN_SAMPLES``
     admissible n are flagged under-sampled but still summarized.
     """
     if d < 4:
         raise ValidationError(f"decay_study requires d >= 4, got {d}")
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"decay_study requires odd prime p, got {p}")
+    require_prime(p, "decay_study", odd=True)
     if not 0 <= a < p:
         raise ValidationError(f"level a={a} out of range mod {p}")
     if parity not in (None, "odd", "even"):
@@ -178,7 +169,7 @@ def decay_study(
     for lo, hi in windows:
         if lo < 1 or hi <= lo:
             raise ValidationError(f"bad window [{lo}, {hi})")
-    census = residue_census(d, max(hi for _, hi in windows) - 1, p, cell_cap)
+    census = residue_census(d, max(hi for _, hi in windows) - 1, p)
     support = _level_support(p, d, a)
     out: list[WindowSummary] = []
     for lo, hi in windows:
@@ -194,7 +185,7 @@ def decay_study(
             tvs.append(tv_to_uniform(mu))
         out.append(
             WindowSummary(
-                lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < min_samples,
+                lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < MIN_SAMPLES,
                 median_tv=float(median(tvs)) if tvs else math.nan,
                 max_tv=float(max(tvs)) if tvs else math.nan,
             )

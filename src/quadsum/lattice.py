@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import is_prime
+from .arith import require_prime
 from .errors import ResourceLimitError, ValidationError
-from .limits import DEFAULT_CENSUS_CELL_CAP, DEFAULT_ENTRY_CAP, DEFAULT_POINT_CAP
+from .limits import BOX_POINT_CAP, CENSUS_CELL_CAP, ENTRY_CAP, POINT_CAP, RANGE_NMAX_CAP
 
 LatticePoint = tuple[int, ...]
 
@@ -48,10 +48,7 @@ def _ball_point_estimate(d: int, n: int) -> float:
 
 
 def enumerate_sphere(
-    d: int,
-    n: int,
-    visit: Optional[Callable[[LatticePoint], None]] = None,
-    point_cap: int = DEFAULT_POINT_CAP,
+    d: int, n: int, visit: Optional[Callable[[LatticePoint], None]] = None
 ) -> SphereCount:
     """Visit every x in Z^d with x_1^2 + ... + x_d^2 = n, in lexicographic
     order, and return the representation count r_d(n).
@@ -63,9 +60,9 @@ def enumerate_sphere(
         raise ValidationError(f"enumerate_sphere requires d >= 1, got {d}")
     if n < 0:
         raise ValidationError(f"enumerate_sphere requires n >= 0, got {n}")
-    if _ball_point_estimate(d, n) > point_cap:
+    if _ball_point_estimate(d, n) > POINT_CAP:
         raise ResourceLimitError(
-            f"projected point count for d={d}, n={n} exceeds cap {point_cap}"
+            f"projected point count for d={d}, n={n} exceeds cap {POINT_CAP}"
         )
     count = 0
     prefix = [0] * d
@@ -93,7 +90,7 @@ def enumerate_sphere(
     return SphereCount(d=d, n=n, count=count)
 
 
-def enumerated_counts(d: int, nmax: int, point_cap: int = DEFAULT_POINT_CAP) -> np.ndarray:
+def enumerated_counts(d: int, nmax: int) -> np.ndarray:
     """r_d(0..nmax) by exhaustive enumeration of the box |x_i| <= sqrt(nmax).
 
     Every lattice point in the box is generated and binned by its squared
@@ -104,9 +101,9 @@ def enumerated_counts(d: int, nmax: int, point_cap: int = DEFAULT_POINT_CAP) -> 
         raise ValidationError(f"enumerated_counts requires d >= 1, got {d}")
     if nmax < 0:
         raise ValidationError(f"enumerated_counts requires nmax >= 0, got {nmax}")
-    if _ball_point_estimate(d, nmax) > point_cap:
+    if _ball_point_estimate(d, nmax) > BOX_POINT_CAP:
         raise ResourceLimitError(
-            f"projected point count for d={d}, nmax={nmax} exceeds cap {point_cap}"
+            f"projected point count for d={d}, nmax={nmax} exceeds cap {BOX_POINT_CAP}"
         )
     s = isqrt(nmax)
     sq = np.arange(-s, s + 1, dtype=np.int64) ** 2
@@ -131,20 +128,20 @@ def enumerated_counts(d: int, nmax: int, point_cap: int = DEFAULT_POINT_CAP) -> 
     return counts
 
 
-def count_range(d: int, nmax: int, count_cap: int = 2**63 - 1) -> np.ndarray:
+def count_range(d: int, nmax: int) -> np.ndarray:
     """r_d(0..nmax) via d-fold convolution of the square-counting sequence.
 
-    Counts are held in int64; inputs whose counts could exceed ``count_cap``
-    are rejected up front rather than silently wrapping.
+    Counts are held in int64; inputs whose counts could exceed the 64-bit
+    range are rejected up front rather than silently wrapping.
     """
     if d < 1:
         raise ValidationError(f"count_range requires d >= 1, got {d}")
     if nmax < 0:
         raise ValidationError(f"count_range requires nmax >= 0, got {nmax}")
-    if nmax > 10**8:
+    if nmax > RANGE_NMAX_CAP:
         raise ResourceLimitError(f"count_range memory cap exceeded: nmax={nmax}")
     s = isqrt(nmax)
-    if (2 * s + 1) ** d > count_cap:
+    if (2 * s + 1) ** d > 2**63 - 1:
         raise ResourceLimitError(
             f"counts for d={d}, nmax={nmax} may exceed the 64-bit cap"
         )
@@ -158,11 +155,6 @@ def count_range(d: int, nmax: int, count_cap: int = 2**63 - 1) -> np.ndarray:
             new[tsq:] += w * acc[: nmax + 1 - tsq]
         acc = new
     return acc
-
-
-def representation_count(d: int, n: int) -> int:
-    """r_d(n) for a single n (convolution path)."""
-    return int(count_range(d, n)[n])
 
 
 def r4_jacobi(n: int) -> int:
@@ -229,32 +221,26 @@ def quadric_modulus(p: int) -> int:
     return 4 if p == 2 else p
 
 
-def quadric_indices(p: int, d: int, a: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> np.ndarray:
+def quadric_indices(p: int, d: int, a: int) -> np.ndarray:
     """Encoded indices of X_{p,d}(a), sorted ascending."""
-    if not is_prime(p):
-        raise ValidationError(f"quadric_indices requires prime p, got {p}")
+    require_prime(p, "quadric_indices")
     if d < 1:
         raise ValidationError(f"quadric_indices requires d >= 1, got {d}")
     mod = quadric_modulus(p)
     if not 0 <= a < mod:
         raise ValidationError(f"level a={a} out of range for modulus {mod}")
-    if p**d > entry_cap:
-        raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {entry_cap}")
+    if p**d > ENTRY_CAP:
+        raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
     return np.nonzero(qmod_vector(p, d) == a)[0]
 
 
-def quadric_points(p: int, d: int, a: int, entry_cap: int = DEFAULT_ENTRY_CAP) -> list[tuple[int, ...]]:
+def quadric_points(p: int, d: int, a: int) -> list[tuple[int, ...]]:
     """The point set X_{p,d}(a) as residue tuples (a mod 4 when p = 2)."""
-    idx = quadric_indices(p, d, a, entry_cap)
+    idx = quadric_indices(p, d, a)
     return [decode_index(int(e), p, d) for e in idx]
 
 
-def residue_census(
-    d: int,
-    nmax: int,
-    p: int,
-    cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
-) -> np.ndarray:
+def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
     x = e mod p (base-p encoded).  The returned array is read-only.
 
@@ -265,11 +251,10 @@ def residue_census(
     global _kept_census
     if d < 1 or nmax < 0:
         raise ValidationError(f"residue_census got d={d}, nmax={nmax}")
-    if not is_prime(p):
-        raise ValidationError(f"residue_census requires prime p, got {p}")
+    require_prime(p, "residue_census")
     cells = (nmax + 1) * p**d
-    if cells > cell_cap:
-        raise ResourceLimitError(f"census table of {cells} cells exceeds cap {cell_cap}")
+    if cells > CENSUS_CELL_CAP:
+        raise ResourceLimitError(f"census table of {cells} cells exceeds cap {CENSUS_CELL_CAP}")
     s = isqrt(nmax)
     if (2 * s + 1) ** d > 2**63 - 1:
         raise ResourceLimitError("census counts may exceed the 64-bit cap")
@@ -295,20 +280,15 @@ def residue_census(
 
 
 def residue_histogram(
-    d: int,
-    n: int,
-    p: int,
-    exclude_pzd: bool = False,
-    cell_cap: int = DEFAULT_CENSUS_CELL_CAP,
+    d: int, n: int, p: int, exclude_pzd: bool = False
 ) -> dict[tuple[int, ...], int]:
     """Counts of X_d(n) points by residue class mod p.
 
     With ``exclude_pzd`` the points lying in (pZ)^d (all coordinates divisible
     by p) are omitted; their count is r_d(n / p^2) when p^2 | n and 0 otherwise.
     """
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"residue_histogram requires odd prime p, got {p}")
-    row = residue_census(d, n, p, cell_cap)[n]
+    require_prime(p, "residue_histogram", odd=True)
+    row = residue_census(d, n, p)[n]
     out: dict[tuple[int, ...], int] = {}
     for e in np.nonzero(row)[0]:
         if exclude_pzd and e == 0:

@@ -1,20 +1,40 @@
-"""Default resource caps and numeric defaults.
+"""Resource caps and numeric defaults.
 
-All caps are overridable per call; they exist so that a typo in a CLI flag
-fails fast instead of allocating gigabytes.
+The caps are fixed and live only here: no call, option or environment
+variable overrides them.  Each guard checks its cap before it allocates, so a
+typo in a CLI flag fails fast (exit 2) instead of allocating gigabytes.
 """
 
-# Lattice enumeration: maximum number of sphere/ball points visited per call.
-DEFAULT_POINT_CAP = 10**8
+# Sphere enumeration (pure-Python DFS): maximum projected points per call.
+POINT_CAP = 10**8
+
+# Box sweep of enumerated_counts, vectorized over three coordinates: maximum
+# projected points per call (r_4 up to n = 5000 is projected at 2.0e8).
+BOX_POINT_CAP = 5 * 10**8
+
+# count_range: largest nmax (the convolution holds a few int64 rows of nmax + 1).
+RANGE_NMAX_CAP = 10**8
 
 # Dense test-function storage: maximum p**d entries.
-DEFAULT_ENTRY_CAP = 10**7
+ENTRY_CAP = 10**7
 
 # Residue census tables: maximum (nmax + 1) * p**d int64 cells.
-DEFAULT_CENSUS_CELL_CAP = 3 * 10**8
+CENSUS_CELL_CAP = 3 * 10**8
 
 # Largest modulus accepted by the exponential-sum evaluators.
-DEFAULT_Q_CAP = 2**20
+Q_CAP = 2**20
+
+# Largest 1-d cut of a theta evaluation (each partial sum holds 2T + 1 terms).
+THETA_CUT_CAP = 2 * 10**6
+
+# srw_sum: largest tower width p**max(r, 1).
+TOWER_WIDTH_CAP = 10**6
+
+# srw_profile: largest p**d * p**r table.
+PROFILE_CELL_CAP = 5 * 10**7
+
+# rsum_check / tsum_check: largest brute-force grid.
+BRUTE_GRID_CAP = 10**7
 
 # Truncation target for theta evaluations.
 DEFAULT_EPS = 1e-12

@@ -35,12 +35,22 @@ from typing import Union
 
 import numpy as np
 
-from .arith import is_prime, j_prime_k
+from .arith import j_prime_k, require_prime
 from .errors import ResourceLimitError, ValidationError
 from .lattice import encode_residues, qmod_vector, quadric_modulus, residue_census
-from .limits import DEFAULT_CENSUS_CELL_CAP, DEFAULT_ENTRY_CAP, DEFAULT_EPS
+from .limits import (
+    BRUTE_GRID_CAP,
+    DEFAULT_EPS,
+    ENTRY_CAP,
+    PROFILE_CELL_CAP,
+    THETA_CUT_CAP,
+    TOWER_WIDTH_CAP,
+)
 
 TWO_PI = 2.0 * math.pi
+
+#: tolerance of the cusp, S(r, w)-vanishing and auxiliary-sum checks
+CHECK_TOL = 1e-8
 
 #: index of the cusp at infinity in the component family
 INF = "inf"
@@ -67,13 +77,12 @@ class TestFunction:
     __test__ = False  # keep pytest from collecting this as a test class
     __slots__ = ("p", "d", "values", "_even")
 
-    def __init__(self, p: int, d: int, values, entry_cap: int = DEFAULT_ENTRY_CAP):
-        if not is_prime(p):
-            raise ValidationError(f"TestFunction requires prime p, got {p}")
+    def __init__(self, p: int, d: int, values):
+        require_prime(p, "TestFunction")
         if d < 1:
             raise ValidationError(f"TestFunction requires d >= 1, got {d}")
-        if p**d > entry_cap:
-            raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {entry_cap}")
+        if p**d > ENTRY_CAP:
+            raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
         arr = np.array(values, dtype=np.complex128)
         if arr.shape != (p**d,):
             raise ValidationError(
@@ -219,8 +228,8 @@ class CoefficientSeries:
     c: np.ndarray
 
 
-def theta_coeffs(f: TestFunction, nmax: int, cell_cap: int = DEFAULT_CENSUS_CELL_CAP) -> CoefficientSeries:
-    census = residue_census(f.d, nmax, f.p, cell_cap)
+def theta_coeffs(f: TestFunction, nmax: int) -> CoefficientSeries:
+    census = residue_census(f.d, nmax, f.p)
     return CoefficientSeries(p=f.p, d=f.d, nmax=nmax, c=census @ f.values)
 
 
@@ -235,10 +244,6 @@ class ThetaValue:
     value: complex
     tail: float
     radius: int
-
-
-#: largest 1-d cut a theta evaluation may use (each partial sum holds 2T+1 terms)
-_MAX_CUT = 2 * 10**6
 
 
 def _gauss_tail(y: float, cut: int) -> float:
@@ -308,20 +313,20 @@ def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = Fal
         return m * d * beta * (a_bound + beta) ** (d - 1)
 
     # the 1-d test keeps the power in prior() finite at every cut it is asked for
-    if _gauss_tail(y, _MAX_CUT) < 1.0 and prior(_MAX_CUT) <= eps:
-        lo, cut = -1, _MAX_CUT  # prior(cut) <= eps < prior(lo); prior decreases in the cut
+    if _gauss_tail(y, THETA_CUT_CAP) < 1.0 and prior(THETA_CUT_CAP) <= eps:
+        lo, cut = -1, THETA_CUT_CAP  # prior(cut) <= eps < prior(lo); prior decreases in the cut
         while cut - lo > 1:
             mid = (lo + cut) // 2
             if prior(mid) <= eps:
                 cut = mid
             else:
                 lo = mid
-        while cut <= _MAX_CUT:
+        while cut <= THETA_CUT_CAP:
             res = _eval_at_cut(f, tau_eff, cut, dual)
             if res.tail <= eps * (abs(res.value) + 1.0):
                 return res
             cut = 2 * cut + 1
-    raise ResourceLimitError(f"theta truncation needs a cut above {_MAX_CUT} at Im(tau) = {y}")
+    raise ResourceLimitError(f"theta truncation needs a cut above {THETA_CUT_CAP} at Im(tau) = {y}")
 
 
 def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
@@ -450,7 +455,7 @@ class CuspCheck:
     failing_condition: str | None
 
 
-def cusp_check(f: TestFunction, tol: float = 1e-8) -> CuspCheck:
+def cusp_check(f: TestFunction) -> CuspCheck:
     """Vanishing conditions for the weighted theta series to be a cusp form:
     zero sum over every level set of Q, zero at the origin, and (p = 2 only)
     zero at the all-ones corner.  Reports the first failure, level sums in
@@ -459,11 +464,11 @@ def cusp_check(f: TestFunction, tol: float = 1e-8) -> CuspCheck:
     v = f.values
     q = qmod_vector(p, d)
     for a in range(quadric_modulus(p)):
-        if abs(v[q == a].sum()) > tol:
+        if abs(v[q == a].sum()) > CHECK_TOL:
             return CuspCheck(is_cusp=False, failing_condition=f"level-sum a={a}")
-    if p == 2 and abs(v[2**d - 1]) > tol:
+    if p == 2 and abs(v[2**d - 1]) > CHECK_TOL:
         return CuspCheck(is_cusp=False, failing_condition="corner (1,...,1)")
-    if abs(v[0]) > tol:
+    if abs(v[0]) > CHECK_TOL:
         return CuspCheck(is_cusp=False, failing_condition="origin")
     return CuspCheck(is_cusp=True, failing_condition=None)
 
@@ -481,7 +486,7 @@ def _tower_sums(p: int, r: int, w: int) -> np.ndarray:
     return t1
 
 
-def srw_sum(f: TestFunction, r: int, w: int, width_cap: int = 10**6) -> complex:
+def srw_sum(f: TestFunction, r: int, w: int) -> complex:
     """S(r, w) = sum over y in (Z/p^max(r,1) Z)^d of f(y mod p) e^{2 pi i Q(y,y) w / p^r}.
 
     Evaluated by the exact per-coordinate factorization of the defining sum
@@ -491,8 +496,8 @@ def srw_sum(f: TestFunction, r: int, w: int, width_cap: int = 10**6) -> complex:
     if r < 0:
         raise ValidationError(f"srw_sum requires r >= 0, got {r}")
     p, d = f.p, f.d
-    if p ** max(r, 1) > width_cap:
-        raise ResourceLimitError(f"p**{max(r,1)} exceeds width cap {width_cap}")
+    if p ** max(r, 1) > TOWER_WIDTH_CAP:
+        raise ResourceLimitError(f"p**{max(r,1)} exceeds width cap {TOWER_WIDTH_CAP}")
     t1 = _tower_sums(p, r, w)
     t = f.values.reshape((p,) * d)
     for _ in range(d):
@@ -500,7 +505,7 @@ def srw_sum(f: TestFunction, r: int, w: int, width_cap: int = 10**6) -> complex:
     return complex(t)
 
 
-def srw_profile(f: TestFunction, r: int, cell_cap: int = 5 * 10**7) -> np.ndarray:
+def srw_profile(f: TestFunction, r: int) -> np.ndarray:
     """S(r, w) for every w in [0, p^r) at once (w enters only through w mod p^r)."""
     if r < 0:
         raise ValidationError(f"srw_profile requires r >= 0, got {r}")
@@ -508,7 +513,7 @@ def srw_profile(f: TestFunction, r: int, cell_cap: int = 5 * 10**7) -> np.ndarra
     if r == 0:
         return np.array([complex(f.values.sum())])
     denom = p**r
-    if p**d * denom > cell_cap:
+    if p**d * denom > PROFILE_CELL_CAP:
         raise ResourceLimitError("srw_profile table exceeds cell cap")
     # t1w[k, w] = sum_u e^{2 pi i (k + p u)^2 w / p^r}: the conjugated FFT of
     # the counts of each square class, one row per residue k
@@ -524,17 +529,17 @@ def srw_profile(f: TestFunction, r: int, cell_cap: int = 5 * 10**7) -> np.ndarra
     return t[:, 0]
 
 
-def srw_vanishing(f: TestFunction, rmax: int, tol: float = 1e-8) -> bool:
+def srw_vanishing(f: TestFunction, rmax: int) -> bool:
     """True when every S(r, w), r <= rmax, 0 <= w < p^r, vanishes to within
-    tol after dividing by the tower multiplicity p^{(max(r,1)-1) d} (the
-    number of lifts behind each residue vector).  The normalization keeps the
+    ``CHECK_TOL`` after dividing by the tower multiplicity p^{(max(r,1)-1) d}
+    (the number of lifts behind each residue vector).  The normalization keeps the
     threshold meaningful across r: the raw sums grow like the multiplicity,
     so their roundoff does too.
     """
     p, d = f.p, f.d
     for r in range(rmax + 1):
         scale = float(p ** ((max(r, 1) - 1) * d))
-        if float(np.abs(srw_profile(f, r)).max()) >= tol * scale:
+        if float(np.abs(srw_profile(f, r)).max()) >= CHECK_TOL * scale:
             return False
     return True
 
@@ -546,7 +551,7 @@ class SumCheck:
     passed: bool
 
 
-def rsum_check(r: int, k, w: int, tol: float = 1e-8, brute_cap: int = 10**7) -> SumCheck:
+def rsum_check(r: int, k, w: int) -> SumCheck:
     """The p = 2 auxiliary sum R(r,k,w) = sum_{u in (Z/2^{r-2})^d}
     e^{2 pi i Q(u, u+k) w / 2^{r-2}} for a bit vector k, brute-forced and
     compared with its closed value.
@@ -563,8 +568,8 @@ def rsum_check(r: int, k, w: int, tol: float = 1e-8, brute_cap: int = 10**7) -> 
     if d < 1 or any(b not in (0, 1) for b in k):
         raise ValidationError(f"k must be a nonempty bit vector, got {k}")
     m = 2 ** (r - 2)
-    if m**d > brute_cap:
-        raise ResourceLimitError(f"brute-force grid 2^{(r-2)*d} exceeds cap {brute_cap}")
+    if m**d > BRUTE_GRID_CAP:
+        raise ResourceLimitError(f"brute-force grid 2^{(r-2)*d} exceeds cap {BRUTE_GRID_CAP}")
     wm = w % m
     u = np.arange(m, dtype=np.int64)
     tot = np.zeros(1, dtype=np.int64)
@@ -589,18 +594,17 @@ def rsum_check(r: int, k, w: int, tol: float = 1e-8, brute_cap: int = 10**7) -> 
             predicted = 0j
         else:
             predicted = scale * _gauss_like(2 ** (r2 - 2), w1) ** d
-    return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= tol * max(1.0, abs(predicted)))
+    return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= CHECK_TOL * max(1.0, abs(predicted)))
 
 
-def tsum_check(p: int, r: int, k, w: int, tol: float = 1e-8, brute_cap: int = 10**7) -> SumCheck:
+def tsum_check(p: int, r: int, k, w: int) -> SumCheck:
     """The odd-p auxiliary sum T(r,k,w) = sum_{u in (Z/p^{r-1})^d}
     e^{2 pi i Q(k + p u, k + p u) w / p^r}, brute-forced and compared with its
     closed value: for w coprime to p it is p^d times the full square sum one
     level down when every coordinate of k is divisible by p, and 0 otherwise;
     general w reduces to that case through its p-adic valuation.
     """
-    if p == 2 or not is_prime(p):
-        raise ValidationError(f"tsum_check requires odd prime p, got {p}")
+    require_prime(p, "tsum_check", odd=True)
     if r < 2:
         raise ValidationError(f"tsum_check requires r >= 2, got {r}")
     k = tuple(int(c) for c in k)
@@ -608,8 +612,8 @@ def tsum_check(p: int, r: int, k, w: int, tol: float = 1e-8, brute_cap: int = 10
     if d < 1:
         raise ValidationError("k must be nonempty")
     denom = p**r
-    if (p ** (r - 1)) ** d > brute_cap:
-        raise ResourceLimitError(f"brute-force grid p^{(r-1)*d} exceeds cap {brute_cap}")
+    if (p ** (r - 1)) ** d > BRUTE_GRID_CAP:
+        raise ResourceLimitError(f"brute-force grid p^{(r-1)*d} exceeds cap {BRUTE_GRID_CAP}")
     wm = w % denom
     u = np.arange(p ** (r - 1), dtype=np.int64)
     tot = np.zeros(1, dtype=np.int64)
@@ -635,7 +639,7 @@ def tsum_check(p: int, r: int, k, w: int, tol: float = 1e-8, brute_cap: int = 10
             predicted = scale * p**d * _gauss_like(p ** (r2 - 2), w1) ** d
         else:
             predicted = 0j
-    return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= tol * max(1.0, abs(predicted)))
+    return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= CHECK_TOL * max(1.0, abs(predicted)))
 
 
 def _gauss_like(q: int, a: int) -> complex:
@@ -654,8 +658,7 @@ def is_in_gamma(g, p: int) -> bool:
     """Membership in the level-p congruence group fixing the weighted theta
     series: diagonal entries 1 mod 4p and lower-left entry 0 mod 4p^2 for odd
     p; 1 mod 4 and 0 mod 16 for p = 2.  Requires det(g) = 1."""
-    if not is_prime(p):
-        raise ValidationError(f"is_in_gamma requires prime p, got {p}")
+    require_prime(p, "is_in_gamma")
     (a, b), (c, d) = g
     a, b, c, d = int(a), int(b), int(c), int(d)
     if a * d - b * c != 1:

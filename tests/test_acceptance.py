@@ -40,7 +40,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_jacobi_identity():
     t0 = time.time()
-    enum = enumerated_counts(4, 5000, point_cap=5 * 10**8)
+    enum = enumerated_counts(4, 5000)
     conv = count_range(4, 5000)
     jac = np.array([r4_jacobi(n) for n in range(1, 5001)], dtype=np.int64)
     agree = bool((enum == conv).all() and (enum[1:] == jac).all())
@@ -101,7 +101,7 @@ def test_criterion_04_density_gap_closed_value():
     worst = 0.0
     values_by_pd = {}
     for p, d, _, n in _INVARIANCE_GRID:
-        chk = density_gap_check(p, d, n, tol=1e-9)
+        chk = density_gap_check(p, d, n)
         worst = max(worst, abs(chk.value - chk.expected))
         values_by_pd.setdefault((p, d), set()).add(round(chk.value, 10))
     n_free = all(len(v) == 1 for v in values_by_pd.values())

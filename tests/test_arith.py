@@ -15,6 +15,7 @@ from quadsum.arith import (
     largest_prime_factor,
     p_adic_split,
     primes_upto,
+    require_prime,
 )
 from quadsum.errors import ValidationError
 
@@ -169,6 +170,17 @@ def test_j_prime_k_rejects_out_of_range():
         j_prime_k(5, 5)
     with pytest.raises(ValidationError):
         j_prime_k(1, 2)
+
+
+def test_require_prime_covers_the_prime_and_odd_prime_cases():
+    require_prime(2, "f")
+    require_prime(7, "f", odd=True)
+    with pytest.raises(ValidationError, match="^f requires prime p, got 9$"):
+        require_prime(9, "f")
+    with pytest.raises(ValidationError, match="^f requires odd prime p, got 2$"):
+        require_prime(2, "f", odd=True)
+    with pytest.raises(ValidationError, match="^f requires odd prime p, got 1$"):
+        require_prime(1, "f", odd=True)
 
 
 def test_is_prime_small_and_carmichael():

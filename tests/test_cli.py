@@ -3,6 +3,8 @@ precondition table mapping bad arguments to exit 1."""
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,14 @@ def test_repnum_csv(capsys):
     assert lines[1] == "0,1,1,,true"
     assert lines[3] == "2,24,24,24,true"
     assert all(line.endswith("true") for line in lines[1:])
+
+
+def test_repnum_reproduces_criterion_1(capsys):
+    code, out, _ = run_cli(["repnum", "--d", "4", "--nmax", "5000"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1 + 5001
+    assert lines[-1] == "5000,18744,18744,18744,true"
 
 
 def test_repnum_d3_leaves_jacobi_blank(capsys):
@@ -232,3 +242,41 @@ def test_write_failure_maps_to_exit_one(capsys):
         ["repnum", "--d", "4", "--nmax", "2", "--out", "/nonexistent-dir/x.csv"], capsys
     )
     assert code == 1
+
+
+COMMANDS = ("repnum", "quadric", "gauss", "acoeff", "density", "singular", "mainterm", "diffcheck",
+            "theta-coeffs", "theta-verify", "cusp-check", "srw", "equidist", "growth")
+
+
+def test_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out
+    for name in COMMANDS:
+        assert f"    {name} " in listing
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: quadsum {name} ")
+
+
+def test_malformed_tau_is_reported_while_parsing(capsys):
+    code, _, err = run_cli(["theta-verify", "--p", "3", "--tau", "bogus"], capsys)
+    assert code == 1
+    assert err == "quadsum: tau must look like 're+imi', got 'bogus'\n"
+
+
+def _readme_commands() -> list[list[str]]:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("quadsum ")]
+
+
+def test_readme_cli_commands_run(capsys):
+    commands = _readme_commands()
+    assert sorted(argv[0] for argv in commands) == sorted(COMMANDS)
+    for argv in commands:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, (argv, err)
+        assert out

@@ -1,0 +1,41 @@
+"""Every resource cap in ``quadsum.limits`` is fixed; each guard must raise
+ResourceLimitError for an input just past its cap before it allocates."""
+
+import tracemalloc
+
+import pytest
+
+from quadsum.density import a_coeff_direct, gauss_sum, twisted_unit_phase_sum_check, unit_phase_sum_check
+from quadsum.errors import ResourceLimitError
+from quadsum.lattice import count_range, enumerated_counts, quadric_indices, residue_census
+from quadsum.theta import TestFunction, constant_function, rsum_check, srw_profile, srw_sum, tsum_check
+
+F32 = constant_function(3, 2)
+
+GUARDS = {
+    "census-cells": lambda: residue_census(4, 10**7, 5),
+    "range-nmax": lambda: count_range(1, 10**8 + 1),
+    "box-points": lambda: enumerated_counts(8, 10**5),
+    "gauss-modulus": lambda: gauss_sum(2**20 + 1, 1),
+    "acoeff-modulus": lambda: a_coeff_direct(5, 2**20 + 1, 1),
+    "phase-sum-modulus": lambda: unit_phase_sum_check(3, 3**13),
+    "twisted-phase-sum-modulus": lambda: twisted_unit_phase_sum_check(3, 13, 1),
+    "test-function-entries": lambda: TestFunction(3, 15, [0]),
+    "quadric-entries": lambda: quadric_indices(3, 15, 0),
+    "srw-width": lambda: srw_sum(F32, 13, 1),
+    "srw-profile-cells": lambda: srw_profile(F32, 15),
+    "rsum-grid": lambda: rsum_check(12, (0, 0, 0), 1),
+    "tsum-grid": lambda: tsum_check(3, 6, (0, 0, 0, 0), 1),
+}
+
+
+@pytest.mark.parametrize("call", GUARDS.values(), ids=GUARDS.keys())
+def test_cap_guard_fails_before_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="cap"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
