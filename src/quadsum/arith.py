@@ -1,9 +1,13 @@
 """Exact integer arithmetic: quadratic symbols, fourth-root-of-unity signs,
 p-adic valuations, and the inverse pairing used by the theta operators.
 
-Everything here is a pure function of its arguments.  Python integers are
-arbitrary precision, so no intermediate can overflow; validation therefore
-concentrates on domain errors (even denominators, n = 0, composite p).
+Everything here is a pure function of its arguments, apart from one kept
+sieve: the primes up to the largest bound asked for so far, grown by doubling
+and capped at ``limits.PRIME_CAP``.  Python integers are arbitrary precision,
+so no intermediate can overflow; the int64 vector helpers keep every modulus
+at most PRIME_CAP < 2^24, so every product of two residues stays below 2^48.
+Validation concentrates on domain errors (even denominators, n = 0,
+composite p) and on the prime cap.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import ResourceLimitError, ValidationError
+from .limits import PRIME_CAP
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -48,36 +55,94 @@ def require_prime(p: int, caller: str, odd: bool = False) -> None:
         raise ValidationError(f"{caller} requires {'odd ' if odd else ''}prime p, got {p}")
 
 
+# The kept sieve: every prime <= _sieve_bound, ascending, read-only.  Nothing
+# is built at import; prime_table grows it by doubling.
+_sieve_bound = 1
+_primes = np.empty(0, dtype=np.int64)
+
+
+def prime_table(n: int) -> np.ndarray:
+    """The kept int64 table of primes, ascending and read-only, covering at
+    least every prime <= n (it may hold more: it grows by doubling)."""
+    global _sieve_bound, _primes
+    if n > PRIME_CAP:
+        raise ResourceLimitError(f"prime bound {n} exceeds cap {PRIME_CAP}")
+    if n > _sieve_bound:
+        bound = min(PRIME_CAP, max(n, 2 * _sieve_bound))
+        sieve = np.ones(bound + 1, dtype=bool)
+        sieve[:2] = False
+        for p in range(2, isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p :: p] = False
+        primes = np.flatnonzero(sieve).astype(np.int64)
+        primes.setflags(write=False)
+        _sieve_bound, _primes = bound, primes
+    return _primes
+
+
 def primes_upto(n: int) -> list[int]:
-    """All primes <= n by sieve of Eratosthenes."""
+    """All primes <= n, read from the kept sieve."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    table = prime_table(n)
+    return table[: np.searchsorted(table, n, side="right")].tolist()
+
+
+def residues(n: int, moduli: np.ndarray) -> np.ndarray:
+    """n mod m for every int64 modulus 0 < m <= PRIME_CAP, for any integer
+    n >= 0, without forming n in int64: Horner's rule over 31-bit limbs."""
+    limbs = []
+    while n:
+        limbs.append(n & (2**31 - 1))
+        n >>= 31
+    out = np.zeros_like(moduli)
+    for limb in reversed(limbs):
+        out = (out * 2**31 + limb) % moduli
+    return out
+
+
+def euler_criterion(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a^((p-1)/2) mod p elementwise, by square and multiply in int64, for
+    0 <= a < p <= PRIME_CAP: 1 or p - 1 (the Legendre symbol of a), or 0
+    when p divides a.  p = 2 gives 1."""
+    exp = (p - 1) // 2
+    out = np.ones_like(p)
+    base = a
+    while exp.any():
+        out = np.where(exp & 1, out * base % p, out)
+        base = base * base % p
+        exp >>= 1
+    return out
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division."""
+    """Prime factorization of n >= 1, ascending, whose prime factors are all
+    at most PRIME_CAP; ResourceLimitError otherwise.
+
+    Trial division by the kept primes <= min(PRIME_CAP, sqrt(cofactor)), one
+    vectorized pass per doubling of that bound, so the work is bounded for
+    every n.  A cofactor left above PRIME_CAP has a prime factor above it.
+    """
     if n < 1:
         raise ValidationError(f"factorize requires n >= 1, got {n}")
     out: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
+    tested = 1  # every prime <= tested has been divided out
+    while True:
+        limit = min(PRIME_CAP, isqrt(n), max(2 * tested, 64))
+        if limit <= tested:
+            break
+        table = prime_table(limit)
+        lo, hi = np.searchsorted(table, (tested, limit), side="right")
+        chunk = table[lo:hi]
+        for p in chunk[residues(n, chunk) == 0].tolist():
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
-        f += 6
+        tested = limit
+    if n > PRIME_CAP:
+        raise ResourceLimitError(f"n has a prime factor above the prime cap {PRIME_CAP}")
     if n > 1:
-        out[n] = out.get(n, 0) + 1
+        out[n] = 1
     return out
 
 
@@ -152,12 +217,18 @@ def p_adic_split(n: int, p: int) -> PAdicSplit:
     if n < 1:
         raise ValidationError(f"p_adic_split requires n >= 1, got {n}")
     require_prime(p, "p_adic_split")
-    ord_ = 0
-    unit = n
-    while unit % p == 0:
-        unit //= p
-        ord_ += 1
+    ord_, unit = valuation(n, p)
     return PAdicSplit(p=p, n=n, ord=ord_, unit=unit)
+
+
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(ord_p(n), n / p**ord_p(n)) without validation: the caller has checked
+    n >= 1 and p >= 2."""
+    ord_ = 0
+    while n % p == 0:
+        n //= p
+        ord_ += 1
+    return ord_, n
 
 
 @lru_cache(maxsize=None)

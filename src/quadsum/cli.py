@@ -286,7 +286,7 @@ def _cmd_singular(args) -> tuple[list, list, bool]:
           _required("--d"), _required("--n"), _optional("--prime-cutoff", DEFAULT_PRIME_CUTOFF))
 def _cmd_mainterm(args) -> tuple[list, list, bool]:
     series = density.singular_series(args.d, args.n, args.prime_cutoff)
-    mt = density.main_term(args.d, args.n, args.prime_cutoff)
+    mt = density.archimedean_factor(args.d, args.n) * series.value
     schema = [("d", "int"), ("n", "int"), ("prime_cutoff", "int"),
               ("singular", "real"), ("main_term", "real")]
     return schema, [{"d": args.d, "n": args.n, "prime_cutoff": args.prime_cutoff,

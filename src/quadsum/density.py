@@ -3,7 +3,16 @@ the truncated singular series, and the archimedean main term.
 
 For odd p everything has a closed form (verified against direct summation in
 the tests); for p = 2 the local density is the finite sum of the defining
-series up to h = ord_2(n) + 4, past which every term vanishes.  All
+series up to h = ord_2(n) + 4, past which every term vanishes.
+
+The singular series does not evaluate a local density per prime.  For
+p not dividing 2n, delta_{p,d}(n) depends on n only through chi = (-n/p), and
+not at all for even d, so it is read from a per-d table of these unramified
+factors, kept at chi = +1 and (odd d) chi = -1 for the primes of the kept
+sieve that calls have needed so far.  Only p = 2 and the primes dividing n, found by one capped
+factorization, are evaluated in closed form.  The table entries are the
+closed form's own floats and the product is taken in ascending prime order,
+so the value is the same double as a per-prime evaluation gives.  All
 transcendental work is double precision; closed-form versus direct
 comparisons in this package use absolute tolerance 1e-8 scaled by
 max(1, |value|), which direct sums of <= 10**4 roots of unity meet easily.
@@ -13,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from math import gcd
 
@@ -21,11 +31,14 @@ import numpy as np
 from .arith import (
     epsilon,
     epsilon_power,
+    euler_criterion,
+    factorize,
     jacobi_symbol,
-    largest_prime_factor,
     p_adic_split,
-    primes_upto,
+    prime_table,
     require_prime,
+    residues,
+    valuation,
 )
 from .errors import ResourceLimitError, ValidationError
 from .lattice import count_range, r4_jacobi
@@ -111,7 +124,7 @@ def a_coeff_direct(d: int, q: int, n: int) -> complex:
         return 1 + 0j
     coprime, svals = _gauss_table(q)
     powered = (svals[coprime] / q) ** d
-    phases = np.exp(-2j * np.pi * ((n * coprime) % q) / q)
+    phases = np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)
     return complex(powered @ phases)
 
 
@@ -123,8 +136,11 @@ def a_coeff_closed(d: int, p: int, h: int, n: int) -> complex:
         raise ValidationError(f"a_coeff_closed requires h >= 1, got {h}")
     if n < 1:
         raise ValidationError(f"a_coeff_closed requires n >= 1, got {n}")
-    split = p_adic_split(n, p)
-    o, n1 = split.ord, split.unit
+    return _a_coeff_closed(d, p, h, *valuation(n, p))
+
+
+def _a_coeff_closed(d: int, p: int, h: int, o: int, n1: int) -> complex:
+    """a_coeff_closed for n = p**o * n1, gcd(n1, p) = 1; trusts its inputs."""
     if h > o + 1:
         return 0j
     if d % 2 == 0:
@@ -173,6 +189,23 @@ def _odd_constants(p: int, d: int) -> dict[str, float]:
     return {"E": e_const, "F": f_const}
 
 
+def _odd_delta(p: int, d: int, o: int, chi: int) -> float:
+    """delta_{p,d}(n) for an odd prime p, o = ord_p(n) and chi = (-unit/p),
+    unit = n / p**o; chi is read only for odd d and even o.  Trusts its
+    inputs (p a Python int, not a numpy scalar)."""
+    consts = _odd_constants(p, d)
+    if d % 2 == 0:
+        e = epsilon_power(p, d).real
+        base = e * p ** (1 - d / 2)
+        return float(consts["C"] * (1 - base ** (o + 1)))
+    if o % 2 == 1:
+        return float(p ** ((1 - d / 2) * o) * consts["E"] + consts["F"])
+    g_const = p ** (1 - d) * (1 - p) / (1 - p ** (2 - d)) + p ** (
+        (1 - d) / 2
+    ) * epsilon_power(p, d + 1).real * chi
+    return float(p ** ((1 - d / 2) * o) * g_const + consts["F"])
+
+
 def local_density(p: int, d: int, n: int) -> DensityReport:
     """The p-adic local density delta_{p,d}(n) = sum_h A_d(p^h, n).
 
@@ -190,34 +223,46 @@ def local_density(p: int, d: int, n: int) -> DensityReport:
     if n < 1:
         raise ValidationError(f"local_density requires n >= 1, got {n}")
     require_prime(p, "local_density")
+    o, unit = valuation(n, p)
 
     if p == 2:
-        o = p_adic_split(n, 2).ord
         terms = [a_coeff_direct(d, 2**h, n) for h in range(o + 5)]
         total = sum(terms)
         return DensityReport(
             p=2, d=d, n=n, terms=tuple(terms), delta=float(total.real), method="brute-force"
         )
 
-    split = p_adic_split(n, p)
-    o = split.ord
-    terms = [1 + 0j] + [a_coeff_closed(d, p, h, n) for h in range(1, o + 2)]
-    consts = _odd_constants(p, d)
-    if d % 2 == 0:
-        e = epsilon_power(p, d).real
-        base = e * p ** (1 - d / 2)
-        delta = consts["C"] * (1 - base ** (o + 1))
-    else:
-        if o % 2 == 1:
-            delta = p ** ((1 - d / 2) * o) * consts["E"] + consts["F"]
-        else:
-            g_const = p ** (1 - d) * (1 - p) / (1 - p ** (2 - d)) + p ** (
-                (1 - d) / 2
-            ) * epsilon_power(p, d + 1).real * jacobi_symbol(-split.unit, p)
-            delta = p ** ((1 - d / 2) * o) * g_const + consts["F"]
-    return DensityReport(
-        p=p, d=d, n=n, terms=tuple(terms), delta=float(delta), method="closed-form"
-    )
+    terms = [1 + 0j] + [_a_coeff_closed(d, p, h, o, unit) for h in range(1, o + 2)]
+    delta = _odd_delta(p, d, o, jacobi_symbol(-unit, p))
+    return DensityReport(p=p, d=d, n=n, terms=tuple(terms), delta=delta, method="closed-form")
+
+
+# Per-d unramified factors, column k for the k-th prime of arith.prime_table:
+# row 0 holds _odd_delta(p, d, 0, +1) and, for odd d, row 1 holds
+# _odd_delta(p, d, 0, -1); the column of p = 2 is NaN, since 2 is always
+# evaluated on its own.  A table grows by doubling, up to the kept sieve, when
+# a call needs more primes, and no entry is ever recomputed.  The bound is 4
+# values of d, about 42 MB if every one reaches PRIME_CAP.
+_UNRAMIFIED_TABLES = 4
+_unramified: OrderedDict[int, np.ndarray] = OrderedDict()
+
+
+def _unramified_table(d: int, primes: np.ndarray, count: int) -> np.ndarray:
+    """The table for d, covering at least the first ``count`` of ``primes``."""
+    table = _unramified.pop(d, None)
+    if table is None:
+        table = np.empty((1 if d % 2 == 0 else 2, 0))
+    have = table.shape[1]
+    if have < count:
+        fresh = primes[have : max(count, 2 * have)].tolist()
+        rows = [[math.nan if p == 2 else _odd_delta(p, d, 0, chi) for p in fresh]
+                for chi in (1, -1)[: table.shape[0]]]
+        table = np.concatenate([table, np.array(rows, dtype=np.float64)], axis=1)
+        table.setflags(write=False)
+    _unramified[d] = table
+    if len(_unramified) > _UNRAMIFIED_TABLES:
+        _unramified.popitem(last=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -233,30 +278,51 @@ def singular_series(
     d: int, n: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF
 ) -> SingularSeriesValue:
     """Truncated Euler product of the local densities over all primes up to
-    max(prime_cutoff, largest prime factor of n)."""
+    max(prime_cutoff, largest prime factor of n).
+
+    ResourceLimitError when that bound exceeds limits.PRIME_CAP."""
     if d < 5:
         raise ValidationError(f"singular_series requires d >= 5, got {d}")
     if n < 1:
         raise ValidationError(f"singular_series requires n >= 1, got {n}")
     if prime_cutoff < 2:
         raise ValidationError(f"prime_cutoff must be >= 2, got {prime_cutoff}")
-    bound = max(prime_cutoff, largest_prime_factor(n))
-    factors: dict[int, float] = {}
+    ramified = factorize(n)
+    bound = max(prime_cutoff, max(ramified, default=1))
+    table = prime_table(bound)
+    count = int(np.searchsorted(table, bound, side="right"))
+    primes = table[:count]
+    unramified = _unramified_table(d, table, count)
+    if d % 2 == 0:
+        deltas = unramified[0, :count]
+    else:
+        minus_n = (primes - residues(n, primes)) % primes
+        square = euler_criterion(minus_n, primes) == 1
+        deltas = np.where(square, unramified[0, :count], unramified[1, :count])
+    factors = dict(zip(primes.tolist(), deltas.tolist()))
+    factors[2] = local_density(2, d, n).delta
+    for p, o in ramified.items():
+        if p != 2:
+            factors[p] = _odd_delta(p, d, o, jacobi_symbol(-(n // p**o), p))
     value = 1.0
-    for p in primes_upto(bound):
-        delta = local_density(p, d, n).delta
-        factors[p] = delta
+    for delta in factors.values():
         value *= delta
     return SingularSeriesValue(d=d, n=n, prime_cutoff=prime_cutoff, value=value, factors=factors)
 
 
+def archimedean_factor(d: int, n: int) -> float:
+    """pi^{d/2} / Gamma(d/2) * n^{d/2-1}, the singular integral of the main term."""
+    if n < 1:
+        raise ValidationError(f"archimedean_factor requires n >= 1, got {n}")
+    return math.pi ** (d / 2) / gamma_half_integer(d) * n ** (d / 2 - 1)
+
+
 def main_term(d: int, n: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
-    """(pi^{d/2} / Gamma(d/2)) n^{d/2-1} times the truncated singular series."""
+    """archimedean_factor(d, n) times the truncated singular series."""
     if n < 1:
         raise ValidationError(f"main_term requires n >= 1, got {n}")
     series = singular_series(d, n, prime_cutoff)
-    arch = math.pi ** (d / 2) / gamma_half_integer(d) * n ** (d / 2 - 1)
-    return arch * series.value
+    return archimedean_factor(d, n) * series.value
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +410,7 @@ def unit_phase_sum_check(p: int, n: int) -> PhaseSumCheck:
     if q > Q_CAP:
         raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     coprime, _ = _gauss_table(q)
-    value = complex(np.exp(-2j * np.pi * ((n * coprime) % q) / q).sum())
+    value = complex(np.exp(-2j * np.pi * ((n % q * coprime) % q) / q).sum())
     expected = complex(-(p**split.ord))
     return PhaseSumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
 
@@ -364,7 +430,7 @@ def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> PhaseSumCheck:
     coprime, _ = _gauss_table(q)
     legendre = np.array([jacobi_symbol(a, p) for a in range(p)], dtype=np.float64)
     twists = legendre[coprime % p]
-    value = complex((twists * np.exp(-2j * np.pi * ((n * coprime) % q) / q)).sum())
+    value = complex((twists * np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)).sum())
     if h == split.ord + 1:
         expected = (
             p ** (split.ord + 0.5) * epsilon(p) * jacobi_symbol(-split.unit, p)

@@ -3,6 +3,10 @@
 The caps are fixed and live only here: no call, option or environment
 variable overrides them.  Each guard checks its cap before it allocates, so a
 typo in a CLI flag fails fast (exit 2) instead of allocating gigabytes.
+
+PRIME_CAP bounds the kept prime sieve of ``arith`` and with it the singular
+series: a prime bound above it, or an n with a prime factor above it, is
+refused, so trial division of any n stops at the primes <= PRIME_CAP.
 """
 
 # Sphere enumeration (pure-Python DFS): maximum projected points per call.
@@ -35,6 +39,11 @@ PROFILE_CELL_CAP = 5 * 10**7
 
 # rsum_check / tsum_check: largest brute-force grid.
 BRUTE_GRID_CAP = 10**7
+
+# Largest prime of the kept sieve (a bool sieve of PRIME_CAP + 1 bytes and
+# 664,579 int64 primes), hence the largest prime factor of n and the largest
+# prime cutoff a singular series accepts.
+PRIME_CAP = 10**7
 
 # Truncation target for theta evaluations.
 DEFAULT_EPS = 1e-12

@@ -67,6 +67,16 @@ def _scaled(values: np.ndarray, p: int, d: int, j: int) -> np.ndarray:
     return t.reshape(-1)
 
 
+def _require_space(p: int, d: int) -> None:
+    """Validate (Z/pZ)^d as a test-function space and its p**d entries
+    against ENTRY_CAP, before anything of that size is allocated."""
+    require_prime(p, "TestFunction")
+    if d < 1:
+        raise ValidationError(f"TestFunction requires d >= 1, got {d}")
+    if p**d > ENTRY_CAP:
+        raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
+
+
 class TestFunction:
     """A complex-valued function on (Z/pZ)^d, stored densely.
 
@@ -78,11 +88,7 @@ class TestFunction:
     __slots__ = ("p", "d", "values", "_even")
 
     def __init__(self, p: int, d: int, values):
-        require_prime(p, "TestFunction")
-        if d < 1:
-            raise ValidationError(f"TestFunction requires d >= 1, got {d}")
-        if p**d > ENTRY_CAP:
-            raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
+        _require_space(p, d)
         arr = np.array(values, dtype=np.complex128)
         if arr.shape != (p**d,):
             raise ValidationError(
@@ -121,10 +127,12 @@ class TestFunction:
 
 
 def constant_function(p: int, d: int, value: complex = 1.0) -> TestFunction:
+    _require_space(p, d)
     return TestFunction(p, d, np.full(p**d, value, dtype=np.complex128))
 
 
 def origin_indicator(p: int, d: int) -> TestFunction:
+    _require_space(p, d)
     v = np.zeros(p**d, dtype=np.complex128)
     v[0] = 1.0
     return TestFunction(p, d, v)
@@ -188,6 +196,7 @@ def op_M(f: TestFunction) -> TestFunction:
 
 def random_even_function(p: int, d: int, seed: int) -> TestFunction:
     """Seeded uniform complex values in the unit square, even-projected."""
+    _require_space(p, d)
     rng = np.random.default_rng(seed)
     v = rng.random(p**d) + 1j * rng.random(p**d)
     return even_projection(TestFunction(p, d, v))

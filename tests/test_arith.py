@@ -3,21 +3,26 @@ valuation round-trips, and the inverse-pairing involution."""
 
 import random
 
+import numpy as np
 import pytest
 
 from quadsum.arith import (
     epsilon,
     epsilon_power,
+    euler_criterion,
     factorize,
     is_prime,
     j_prime_k,
     jacobi_symbol,
     largest_prime_factor,
     p_adic_split,
+    prime_table,
     primes_upto,
     require_prime,
+    residues,
 )
-from quadsum.errors import ValidationError
+from quadsum.errors import ResourceLimitError, ValidationError
+from quadsum.limits import PRIME_CAP
 
 
 # --- oracle: symbol via factorization and Euler's criterion -----------------
@@ -196,3 +201,59 @@ def test_factorize_and_lpf():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert largest_prime_factor(1) == 1
     assert largest_prime_factor(4093) == 4093
+
+
+def test_primes_upto_matches_is_prime_across_sieve_growth():
+    for n in (1, 2, 10, 101, 1000, 5000, 300, 20011):
+        assert primes_upto(n) == [m for m in range(2, n + 1) if is_prime(m)]
+    table = prime_table(100)
+    assert table.dtype == np.int64 and not table.flags.writeable
+
+
+def test_residues_and_euler_criterion_for_large_n():
+    primes = prime_table(2000)[:300]
+    for n in (0, 1, 2**31 - 1, 2**31, 2**63 + 12345, 3**45 * 1000003, 10**40 + 7):
+        assert residues(n, primes).tolist() == [n % p for p in primes.tolist()]
+    odd = primes[1:]
+    for a in (1, 2, 3, 10**6 + 3, 2**70 + 1):
+        chi = euler_criterion(residues(a, odd), odd).tolist()
+        want = [{0: 0, 1: 1, -1: p - 1}[_legendre(a, p)] for p in odd.tolist()]
+        assert chi == want
+
+
+def _trial_division(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        f += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division_below_the_cap():
+    rng = random.Random(11)
+    cases = list(range(1, 500)) + [rng.randrange(1, 10**9) for _ in range(50)]
+    cases += [3**45, 101**10 * 7, 9999991, 9973**2 * 10007, 2**80 * 3]
+    for n in cases:
+        want = _trial_division(n)
+        assert list(want) == sorted(want)
+        if max(want, default=1) <= PRIME_CAP:
+            assert factorize(n) == want
+        else:
+            with pytest.raises(ResourceLimitError, match="cap"):
+                factorize(n)
+
+
+def test_factorize_and_prime_table_refuse_past_the_cap():
+    with pytest.raises(ResourceLimitError, match="cap"):
+        factorize(10000019)  # prime, above PRIME_CAP
+    with pytest.raises(ResourceLimitError, match="cap"):
+        factorize(10000019**2 * 6)  # the cofactor's square root exceeds PRIME_CAP
+    with pytest.raises(ResourceLimitError, match="cap"):
+        prime_table(PRIME_CAP + 1)
+    with pytest.raises(ValidationError):
+        factorize(0)

@@ -237,6 +237,37 @@ def test_resource_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_prime_cap_and_entry_cap_exit_two(capsys):
+    code, out, err = run_cli(["singular", "--d", "5", "--n", "10000019"], capsys)
+    assert (code, out) == (2, "")
+    assert "cap" in err
+    # 3**20 entries are refused before any of them is allocated
+    code, out, err = run_cli(["theta-coeffs", "--p", "3", "--d", "20", "--nmax", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert "entry cap" in err
+
+
+# stdout of the series commands, captured before the Euler product was read
+# from per-d tables of unramified factors; it must not change by one byte
+SERIES_GOLDEN = {
+    "singular --d 5 --n 10": "d,n,prime_cutoff,value\n5,10,101,1.3461864564662449e0\n",
+    "singular --d 6 --n 150001": "d,n,prime_cutoff,value\n6,150001,101,7.7403682643145866e-1\n",
+    "mainterm --d 5 --n 4096": "d,n,prime_cutoff,singular,main_term\n"
+                               "5,4096,101,8.6697390028061816e-1,2.9907797223981521e6\n",
+    "mainterm --d 7 --n 1155": "d,n,prime_cutoff,singular,main_term\n"
+                               "7,1155,101,1.0921271657225160e0,8.1879751611967242e8\n",
+    "mainterm --d 5 --n 65536": "d,n,prime_cutoff,singular,main_term\n"
+                                "5,65536,101,8.6697430722672442e-1,1.9140999207876357e8\n",
+}
+
+
+@pytest.mark.parametrize("command", SERIES_GOLDEN)
+def test_series_output_is_byte_identical(command, capsys):
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert out == SERIES_GOLDEN[command]
+
+
 def test_write_failure_maps_to_exit_one(capsys):
     code, _, _ = run_cli(
         ["repnum", "--d", "4", "--nmax", "2", "--out", "/nonexistent-dir/x.csv"], capsys

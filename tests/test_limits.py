@@ -5,10 +5,28 @@ import tracemalloc
 
 import pytest
 
-from quadsum.density import a_coeff_direct, gauss_sum, twisted_unit_phase_sum_check, unit_phase_sum_check
+from quadsum.arith import primes_upto
+from quadsum.density import (
+    a_coeff_direct,
+    gauss_sum,
+    singular_series,
+    twisted_unit_phase_sum_check,
+    unit_phase_sum_check,
+)
 from quadsum.errors import ResourceLimitError
 from quadsum.lattice import count_range, enumerated_counts, quadric_indices, residue_census
-from quadsum.theta import TestFunction, constant_function, rsum_check, srw_profile, srw_sum, tsum_check
+from quadsum.limits import PRIME_CAP
+from quadsum.theta import (
+    TestFunction,
+    constant_function,
+    origin_indicator,
+    random_cusp_function,
+    random_even_function,
+    rsum_check,
+    srw_profile,
+    srw_sum,
+    tsum_check,
+)
 
 F32 = constant_function(3, 2)
 
@@ -26,6 +44,13 @@ GUARDS = {
     "srw-profile-cells": lambda: srw_profile(F32, 15),
     "rsum-grid": lambda: rsum_check(12, (0, 0, 0), 1),
     "tsum-grid": lambda: tsum_check(3, 6, (0, 0, 0, 0), 1),
+    "prime-sieve": lambda: primes_upto(PRIME_CAP + 1),
+    "series-prime-factor": lambda: singular_series(5, 10000019),
+    "series-prime-cutoff": lambda: singular_series(5, 1, PRIME_CAP + 1),
+    "constant-function-entries": lambda: constant_function(3, 20),
+    "origin-indicator-entries": lambda: origin_indicator(3, 20),
+    "random-even-entries": lambda: random_even_function(3, 20, 0),
+    "random-cusp-entries": lambda: random_cusp_function(3, 20, 0),
 }
 
 
@@ -39,3 +64,9 @@ def test_cap_guard_fails_before_allocating(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_singular_series_answers_below_the_prime_cap():
+    val = singular_series(5, 10**6 + 3)
+    assert list(val.factors)[-1] == 10**6 + 3
+    assert val.value > 0
