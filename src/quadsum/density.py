@@ -75,6 +75,7 @@ def gauss_sum(q: int, a: int) -> complex:
     if q > Q_CAP:
         raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     t = np.arange(1, q + 1, dtype=np.int64)
+    a %= q  # a * t * t stays below q**3 <= 2**60: no int64 wrap for any a
     return complex(np.exp(2j * np.pi * ((a * t * t) % q) / q).sum())
 
 

@@ -12,9 +12,13 @@ cross-check each other:
 
 ``residue_census`` extends the convolution path with residue classes mod p;
 it is the workhorse behind theta coefficients, histograms, and the
-equidistribution experiments.  It keeps only the most recent table: callers
-work on one (d, p) at a time (a decay study and the check that reads it back,
-a growth scan), so no older table is reused, and one alone can take gigabytes.
+equidistribution experiments.  Q is diagonal and t, -t have the same square,
+so every count is even in each coordinate: the convolution runs on the
+p//2 + 1 sign classes min(r, p - r) of each coordinate, and one gather expands
+the class table to all p**d residues.  It keeps only the most recent table:
+callers work on one (d, p) at a time (a decay study and the check that reads
+it back, a growth scan), so no older table is reused, and one alone can take
+gigabytes.
 """
 
 from __future__ import annotations
@@ -244,9 +248,17 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
     x = e mod p (base-p encoded).  The returned array is read-only.
 
+    The count at e depends on each e_i only through its sign class
+    c(e_i) = min(e_i, p - e_i), so the table is built on the h = p//2 + 1
+    classes: each axis pass adds the rows shifted by t^2, t = 0..s, into class
+    c(t mod p), twice when t > 0 and -t = t mod p.  The class table is kept
+    class-major, (h**k, nmax+1), so every shifted add is a contiguous row
+    slice; at the end it is copied row-major, the class-major array is freed,
+    and one gather at sum_i c(e_i) h**i fills every residue column.
+
     Only the most recent table is kept, as callers reuse nothing older: the
     same (d, p) with no larger nmax gets a view of it, any other request drops
-    it before building its own from scratch, so the module never holds two.
+    it before the new table is built, so the module never holds two.
     """
     global _kept_census
     if d < 1 or nmax < 0:
@@ -261,19 +273,27 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     if _kept_census is not None and _kept_census[:2] == (d, p) and _kept_census[2].shape[0] > nmax:
         return _kept_census[2][: nmax + 1]
     _kept_census = None  # free the old table before the new one is allocated
-    arr = np.zeros((nmax + 1, 1), dtype=np.int64)
-    arr[0, 0] = 1
-    stride = 1
+    h = p // 2 + 1
+    r = np.arange(p)
+    cls = np.minimum(r, p - r)  # sign class c(r) of each residue
+    table = np.zeros((1, nmax + 1), dtype=np.int64)
+    table[0, 0] = 1
     for _ in range(d):
-        new = np.zeros((nmax + 1, stride * p), dtype=np.int64)
-        for t in range(-s, s + 1):
+        block = table.shape[0]
+        new = np.zeros((block * h, nmax + 1), dtype=np.int64)
+        for t in range(s + 1):
             tsq = t * t
-            if tsq > nmax:
-                continue
-            r = t % p
-            new[tsq:, r * stride : (r + 1) * stride] += arr[: nmax + 1 - tsq, :]
-        arr = new
-        stride *= p
+            c = cls[t % p]
+            weight = 2 if t and 2 * t % p == 0 else 1  # -t lies in t's residue too
+            for _ in range(weight):
+                new[c * block : (c + 1) * block, tsq:] += table[:, : nmax + 1 - tsq]
+        table = new
+    rows = np.ascontiguousarray(table.T)
+    del table, new  # the class-major table goes before the gather allocates
+    idx = np.zeros(1, dtype=np.int64)
+    for i in range(d):
+        idx = np.add.outer(cls * h**i, idx).reshape(-1)
+    arr = np.take(rows, idx, axis=1)
     arr.setflags(write=False)
     _kept_census = (d, p, arr)
     return arr

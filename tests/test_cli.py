@@ -1,6 +1,7 @@
 """CLI surface tests: output formats, exit codes, determinism, and the
 precondition table mapping bad arguments to exit 1."""
 
+import hashlib
 import json
 import math
 import shlex
@@ -85,6 +86,13 @@ def test_gauss_closed_form_match(capsys):
     assert len(rows) == 6
     for row in rows:
         assert row.endswith("true")
+
+
+def test_gauss_large_a_matches_closed_form(capsys):
+    code, out, err = run_cli(["gauss", "--q", "1000003", "--a", str(2**45 + 1)], capsys)
+    assert (code, err) == (0, "")
+    row = out.splitlines()[1]
+    assert row.startswith(f"1000003,{2**45 + 1},") and row.endswith(",true")
 
 
 def test_acoeff_exit_zero(capsys):
@@ -266,6 +274,25 @@ def test_series_output_is_byte_identical(command, capsys):
     code, out, err = run_cli(command.split(), capsys)
     assert (code, err) == (0, "")
     assert out == SERIES_GOLDEN[command]
+
+
+# sha256 of the stdout of the census-backed commands, captured before the
+# census was built on sign classes; it must not change by one byte
+CENSUS_GOLDEN = {
+    "theta-coeffs --p 3 --d 2 --nmax 50 --kind random-cusp --seed 1":
+        "ef876c70d1553956f3855bab230ce4e9de09e11e5bdca6873e8026135a6c3744",
+    "equidist --d 5 --p 3 --a 1 --kmin 6 --kmax 10":
+        "b8dca645acc5b289e081d4c403437d0943c89aa2b1e65205a4c6b5575311c769",
+    "growth --d 5 --p 3 --nmax 2000 --seed 4":
+        "e7d701fa2122f071205cfffa60e803d726b0180d19b4031fae4bf62f5fdd85c9",
+}
+
+
+@pytest.mark.parametrize("command", CENSUS_GOLDEN)
+def test_census_output_is_byte_identical(command, capsys):
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_GOLDEN[command]
 
 
 def test_write_failure_maps_to_exit_one(capsys):

@@ -86,6 +86,12 @@ def test_gauss_sum_against_literal_oracle():
             assert gauss_sum(q, a) == pytest.approx(_gauss_oracle(q, a), abs=1e-9)
 
 
+def test_gauss_sum_reduces_a_before_the_int64_product():
+    q, a = 1000003, 2**45 + 1
+    assert gauss_sum(q, a) == gauss_sum(q, a % q)
+    assert gauss_sum(q, a) == pytest.approx(gauss_sum_prime_power(q, 1, a), abs=1e-6)
+
+
 def test_gauss_sum_prime_power_examples():
     assert gauss_sum_prime_power(3, 1, 1) == pytest.approx(1j * SQ3, abs=1e-12)
     assert gauss_sum_prime_power(3, 2, 1) == pytest.approx(3.0, abs=1e-12)

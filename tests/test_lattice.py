@@ -2,7 +2,9 @@
 other, quadric point sets, and residue histograms."""
 
 import gc
+import tracemalloc
 import weakref
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -213,3 +215,74 @@ def test_residue_census_support_lies_on_quadric():
             level = quadric_indices(p, d, n % p)
             outside = np.delete(np.arange(p**d), level)
             assert int(row[outside].sum()) == 0
+
+
+def _census_by_residue(d, nmax, p):
+    """The per-residue census build: 2s+1 shifted adds into all p residues
+    on every axis, with no use of the sign symmetry."""
+    s = isqrt(nmax)
+    arr = np.zeros((nmax + 1, 1), dtype=np.int64)
+    arr[0, 0] = 1
+    stride = 1
+    for _ in range(d):
+        new = np.zeros((nmax + 1, stride * p), dtype=np.int64)
+        for t in range(-s, s + 1):
+            tsq = t * t
+            r = t % p
+            new[tsq:, r * stride : (r + 1) * stride] += arr[: nmax + 1 - tsq, :]
+        arr = new
+        stride *= p
+    return arr
+
+
+# Every (p, d, nmax) of the oracle grid whose table has at most 2**22 cells;
+# under the cell cap alone one table could take gigabytes.
+ORACLE_CELLS = 2**22
+ORACLE_GRID = [
+    (p, d, nmax)
+    for p in (2, 3, 5, 7, 13)
+    for d in range(1, 7)
+    for nmax in sorted({0, 1, p * p, 50, 511})
+    if (nmax + 1) * p**d <= ORACLE_CELLS
+]
+
+
+@pytest.mark.parametrize("p,d,nmax", ORACLE_GRID)
+def test_residue_census_matches_per_residue_build(p, d, nmax):
+    census = residue_census(d, nmax, p)
+    assert census.shape == (nmax + 1, p**d) and census.dtype == np.int64
+    assert not census.flags.writeable
+    assert np.array_equal(census, _census_by_residue(d, nmax, p))
+
+
+def _permuted(census, p, d, perm):
+    """The census with its residue columns moved by x -> perm(x)."""
+    digits = np.indices((p,) * d).reshape(d, -1)[::-1]  # digits[i] = coordinate i
+    moved = np.array(perm(digits))
+    target = sum(moved[i] * p**i for i in range(d))
+    return census[:, target]
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (3, 4), (5, 3), (7, 2), (13, 2)])
+def test_residue_census_is_even_and_symmetric_in_each_coordinate(p, d):
+    census = np.array(residue_census(d, 200, p))
+
+    def negate_last(x):
+        return [*x[:-1], (-x[-1]) % p]
+
+    def swap_first_two(x):
+        return [x[1], x[0], *x[2:]]
+
+    assert np.array_equal(_permuted(census, p, d, negate_last), census)
+    assert np.array_equal(_permuted(census, p, d, swap_first_two), census)
+
+
+def test_residue_census_peak_memory_stays_near_its_table():
+    residue_census(1, 0, 2)  # drop any larger kept table first
+    tracemalloc.start()
+    try:
+        census = residue_census(4, 2**14 - 1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * census.nbytes
