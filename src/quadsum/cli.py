@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from math import gcd
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from . import density, equidist, lattice, theta
 from .arith import factorize, require_prime
@@ -51,46 +51,31 @@ def _csv_escape(field: str) -> str:
     return field
 
 
+# schema kind -> (CSV field, JSON value) of a value that is not None; the
+# lambdas look fmt_real and fmt_complex up when called, so a rebinding of
+# either (a tracing or corrupting wrapper) reaches every field
+_KIND_FORMATS: dict[str, tuple[Callable, Callable]] = {
+    "int": (lambda v: str(int(v)), int),
+    "real": (lambda v: fmt_real(v), float),
+    "complex": (lambda v: '"' + fmt_complex(v) + '"', lambda v: fmt_complex(v)),
+    "bool": (lambda v: "true" if v else "false", bool),
+    "str": (lambda v: _csv_escape(str(v)), str),
+}
+
+
 def _render_csv(schema: list[tuple[str, str]], rows: list[dict]) -> str:
     lines = [",".join(name for name, _ in schema)]
     for row in rows:
-        fields = []
-        for name, kind in schema:
-            v = row.get(name)
-            if v is None:
-                fields.append("")
-            elif kind == "int":
-                fields.append(str(int(v)))
-            elif kind == "real":
-                fields.append(fmt_real(v))
-            elif kind == "complex":
-                fields.append('"' + fmt_complex(v) + '"')
-            elif kind == "bool":
-                fields.append("true" if v else "false")
-            else:
-                fields.append(_csv_escape(str(v)))
-        lines.append(",".join(fields))
+        lines.append(",".join("" if row.get(name) is None else _KIND_FORMATS[kind][0](row[name])
+                              for name, kind in schema))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(schema: list[tuple[str, str]], rows: list[dict]) -> str:
     out = []
     for row in rows:
-        obj: dict[str, Any] = {}
-        for name, kind in schema:
-            v = row.get(name)
-            if v is None:
-                obj[name] = None
-            elif kind == "int":
-                obj[name] = int(v)
-            elif kind == "real":
-                obj[name] = float(v)
-            elif kind == "complex":
-                obj[name] = fmt_complex(v)
-            elif kind == "bool":
-                obj[name] = bool(v)
-            else:
-                obj[name] = str(v)
+        obj = {name: None if row.get(name) is None else _KIND_FORMATS[kind][1](row[name])
+               for name, kind in schema}
         out.append(json.dumps(obj, sort_keys=False))
     return "\n".join(out) + ("\n" if out else "")
 
@@ -361,7 +346,7 @@ def _cmd_srw(args) -> tuple[list, list, bool]:
     rows = []
     for r in range(args.rmax + 1):
         profile = theta.srw_profile(f, r)
-        scale = float(args.p ** ((max(r, 1) - 1) * args.d))
+        scale = theta._tower_multiplicity(f.p, f.d, r)
         for w in range(len(profile)):
             rows.append({"r": r, "w": w, "abs_value": abs(profile[w]),
                          "normalized": abs(profile[w]) / scale})

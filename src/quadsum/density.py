@@ -107,6 +107,12 @@ def _gauss_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     return coprime, svals
 
 
+def _unit_phases(q: int, n: int) -> np.ndarray:
+    """e^{-2 pi i n a / q} for the units a mod q, ascending."""
+    coprime, _ = _gauss_table(q)
+    return np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)
+
+
 def a_coeff_direct(d: int, q: int, n: int) -> complex:
     """A_d(q,n) = sum over a in [1,q], gcd(a,q)=1 of (S(q,a)/q)^d e^{-2 pi i n a / q}.
 
@@ -125,8 +131,7 @@ def a_coeff_direct(d: int, q: int, n: int) -> complex:
         return 1 + 0j
     coprime, svals = _gauss_table(q)
     powered = (svals[coprime] / q) ** d
-    phases = np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)
-    return complex(powered @ phases)
+    return complex(powered @ _unit_phases(q, n))
 
 
 def a_coeff_closed(d: int, p: int, h: int, n: int) -> complex:
@@ -410,8 +415,7 @@ def unit_phase_sum_check(p: int, n: int) -> PhaseSumCheck:
     q = p**h
     if q > Q_CAP:
         raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
-    coprime, _ = _gauss_table(q)
-    value = complex(np.exp(-2j * np.pi * ((n % q * coprime) % q) / q).sum())
+    value = complex(_unit_phases(q, n).sum())
     expected = complex(-(p**split.ord))
     return PhaseSumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
 
@@ -431,7 +435,7 @@ def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> PhaseSumCheck:
     coprime, _ = _gauss_table(q)
     legendre = np.array([jacobi_symbol(a, p) for a in range(p)], dtype=np.float64)
     twists = legendre[coprime % p]
-    value = complex((twists * np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)).sum())
+    value = complex((twists * _unit_phases(q, n)).sum())
     if h == split.ord + 1:
         expected = (
             p ** (split.ord + 0.5) * epsilon(p) * jacobi_symbol(-split.unit, p)

@@ -51,7 +51,15 @@ def empirical_measure(d: int, n: int, p: int) -> EmpiricalMeasure:
     require_prime(p, "empirical_measure", odd=True)
     if n < 1:
         raise ValidationError(f"empirical_measure requires n >= 1, got {n}")
-    return _measure(p, d, n, residue_census(d, n, p)[n], _level_support(p, d, n % p))
+    a = n % p
+    row = residue_census(d, n, p)[n]
+    support = _level_support(p, d, a)
+    total = _admissible_points(row, a)
+    return EmpiricalMeasure(
+        p=p, d=d, a=a, n=n, support=support,
+        masses=row[support] / total if total else np.zeros(len(support)),
+        points_counted=total, empty=total == 0,
+    )
 
 
 def _level_support(p: int, d: int, a: int) -> np.ndarray:
@@ -60,25 +68,23 @@ def _level_support(p: int, d: int, a: int) -> np.ndarray:
     return support[support != 0] if a == 0 else support
 
 
-def _measure(p: int, d: int, n: int, row: np.ndarray, support: np.ndarray) -> EmpiricalMeasure:
-    """The measure of census row n on the support of its level."""
-    a = n % p
+def _admissible_points(row: np.ndarray, a: int) -> int:
+    """The points behind census row n, level a = n mod p: all of them, less
+    the (pZ)^d points (residue 0) when a = 0."""
     total = int(row.sum())
-    if a == 0:
-        total -= int(row[0])
-    return EmpiricalMeasure(
-        p=p, d=d, a=a, n=n, support=support,
-        masses=row[support] / total if total else np.zeros(len(support)),
-        points_counted=total, empty=total == 0,
-    )
+    return total - int(row[0]) if a == 0 else total
+
+
+def _tv(masses: np.ndarray, uniform: float) -> float:
+    """Half the l1 distance between ``masses`` and the constant ``uniform``."""
+    return 0.5 * float(np.abs(masses - uniform).sum())
 
 
 def tv_to_uniform(mu: EmpiricalMeasure) -> float:
     """Half the l1 distance between mu and the uniform measure on its support."""
     if mu.empty:
         raise EmptyMeasureError(f"no lattice points behind measure at n={mu.n}")
-    uniform = 1.0 / len(mu.support)
-    return 0.5 * float(np.abs(mu.masses - uniform).sum())
+    return _tv(mu.masses, 1.0 / len(mu.support))
 
 
 def sup_deviation(mu: EmpiricalMeasure) -> float:
@@ -119,10 +125,9 @@ def weyl_sum(f: TestFunction, d: int, n: int) -> complex:
         raise ValidationError(f"weyl_sum requires n >= 1, got {n}")
     row = residue_census(d, n, p)[n]
     num = complex(row @ f.values)
-    denom = int(row.sum())
     if n % p == 0:
         num -= int(row[0]) * complex(f.values[0])
-        denom -= int(row[0])
+    denom = _admissible_points(row, n % p)
     if denom == 0:
         raise EmptyMeasureError(f"no admissible lattice points at n={n}")
     return num / denom
@@ -171,18 +176,19 @@ def decay_study(
             raise ValidationError(f"bad window [{lo}, {hi})")
     census = residue_census(d, max(hi for _, hi in windows) - 1, p)
     support = _level_support(p, d, a)
+    uniform = 1.0 / len(support)
+    step = p if parity is None else 2 * p
     out: list[WindowSummary] = []
     for lo, hi in windows:
         tvs: list[float] = []
-        for n in range(lo + (a - lo) % p, hi, p):
-            if parity == "odd" and n % 2 == 0:
-                continue
-            if parity == "even" and n % 2 == 1:
-                continue
-            mu = _measure(p, d, n, census[n], support)
-            if mu.empty:
-                continue
-            tvs.append(tv_to_uniform(mu))
+        start = lo + (a - lo) % p
+        if parity is not None and start % 2 != (parity == "odd"):
+            start += p  # p is odd: the next n = a mod p has the other parity
+        for n in range(start, hi, step):
+            row = census[n]
+            total = _admissible_points(row, a)
+            if total:
+                tvs.append(_tv(row[support] / total, uniform))
         out.append(
             WindowSummary(
                 lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < MIN_SAMPLES,

@@ -35,8 +35,9 @@ from typing import Union
 
 import numpy as np
 
-from .arith import j_prime_k, require_prime
-from .errors import ResourceLimitError, ValidationError
+from .arith import j_prime_k, require_prime, valuation
+from .density import gauss_sum
+from .errors import QuadsumError, ResourceLimitError, ValidationError
 from .lattice import encode_residues, qmod_vector, quadric_modulus, residue_census
 from .limits import (
     BRUTE_GRID_CAP,
@@ -274,15 +275,21 @@ def _partial_thetas(p: int, tau: complex, cut: int) -> np.ndarray:
     return np.bincount(res, terms.real, minlength=p) + 1j * np.bincount(res, terms.imag, minlength=p)
 
 
+def _product_tail(m: float, d: int, beta: float, a_sum: float) -> float:
+    """m d beta (a_sum + beta)^{d-1}: the error of sum_e f(e) prod_i a_{e_i},
+    max|f| = m, when every coordinate vector a, with sum_k |a_k| <= a_sum,
+    misses its full sum by b with sum_k |b_k| <= beta (telescope the product)."""
+    return m * d * beta * (a_sum + beta) ** (d - 1)
+
+
 def _eval_at_cut(f: TestFunction, tau_eff: complex, cut: int, dual: bool) -> ThetaValue:
     """theta_f(tau_eff) (theta_{F(f)} when ``dual``) from the partial sums with |t| <= cut.
 
     theta_f = sum_e f(e) prod_i vartheta_{e_i}, so the truncated value is the
     contraction of the (p,)*d value tensor with v along every axis; for the
     transform, <W^{(x)d} f, v^{(x)d}> = <f, (W v)^{(x)d}> contracts f with W v
-    instead.  If every coordinate vector a (v or W v) misses its full sum by b
-    with sum_k |b_k| <= beta, telescoping the product bounds the error by
-    max|f| d beta (sum_k |a_k| + beta)^{d-1}.
+    instead, and W multiplies the l1 norm of the 1-d tail by at most p.  The
+    tail is ``_product_tail`` at the summed modulus of the computed vector.
     """
     p, d = f.p, f.d
     a = _partial_thetas(p, tau_eff, cut)
@@ -293,17 +300,18 @@ def _eval_at_cut(f: TestFunction, tau_eff: complex, cut: int, dual: bool) -> The
     t = f.values.reshape((p,) * d)
     for _ in range(d):
         t = t @ a
-    tail = f.max_abs * d * beta * (float(np.abs(a).sum()) + beta) ** (d - 1)
+    tail = _product_tail(f.max_abs, d, beta, float(np.abs(a).sum()))
     return ThetaValue(value=complex(t), tail=tail, radius=cut)
 
 
 def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = False) -> ThetaValue:
-    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps (|value| + 1).
+    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps.
 
-    The cut T is the smallest one whose a priori product bound, with
-    sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau), is below eps;
-    it is doubled until the bound achieved with the computed partial sums
-    meets the relative target.
+    The cut T is the smallest one whose a priori bound prior(T), the product
+    tail with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau)
+    (times p for the transform) in place of the computed summed modulus, is
+    at most eps.  The reported tail never exceeds prior(T), so one evaluation
+    at T suffices.
     """
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -318,24 +326,22 @@ def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = Fal
     a_bound = spread * (1.0 + 1.0 / math.sqrt(2.0 * y))
 
     def prior(cut: int) -> float:
-        beta = spread * _gauss_tail(y, cut)
-        return m * d * beta * (a_bound + beta) ** (d - 1)
+        return _product_tail(m, d, spread * _gauss_tail(y, cut), a_bound)
 
     # the 1-d test keeps the power in prior() finite at every cut it is asked for
-    if _gauss_tail(y, THETA_CUT_CAP) < 1.0 and prior(THETA_CUT_CAP) <= eps:
-        lo, cut = -1, THETA_CUT_CAP  # prior(cut) <= eps < prior(lo); prior decreases in the cut
-        while cut - lo > 1:
-            mid = (lo + cut) // 2
-            if prior(mid) <= eps:
-                cut = mid
-            else:
-                lo = mid
-        while cut <= THETA_CUT_CAP:
-            res = _eval_at_cut(f, tau_eff, cut, dual)
-            if res.tail <= eps * (abs(res.value) + 1.0):
-                return res
-            cut = 2 * cut + 1
-    raise ResourceLimitError(f"theta truncation needs a cut above {THETA_CUT_CAP} at Im(tau) = {y}")
+    if not (_gauss_tail(y, THETA_CUT_CAP) < 1.0 and prior(THETA_CUT_CAP) <= eps):
+        raise ResourceLimitError(f"theta truncation needs a cut above {THETA_CUT_CAP} at Im(tau) = {y}")
+    lo, cut = -1, THETA_CUT_CAP  # prior(cut) <= eps < prior(lo); prior decreases in the cut
+    while cut - lo > 1:
+        mid = (lo + cut) // 2
+        if prior(mid) <= eps:
+            cut = mid
+        else:
+            lo = mid
+    res = _eval_at_cut(f, tau_eff, cut, dual)
+    if not res.tail <= eps * (abs(res.value) + 1.0):
+        raise QuadsumError(f"theta tail {res.tail} above eps (|value| + 1) at cut {cut}")
+    return res
 
 
 def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
@@ -495,6 +501,11 @@ def _tower_sums(p: int, r: int, w: int) -> np.ndarray:
     return t1
 
 
+def _tower_multiplicity(p: int, d: int, r: int) -> float:
+    """p^{(max(r,1)-1) d}: the lifts to (Z/p^max(r,1) Z)^d behind each residue vector."""
+    return float(p ** ((max(r, 1) - 1) * d))
+
+
 def srw_sum(f: TestFunction, r: int, w: int) -> complex:
     """S(r, w) = sum over y in (Z/p^max(r,1) Z)^d of f(y mod p) e^{2 pi i Q(y,y) w / p^r}.
 
@@ -545,10 +556,8 @@ def srw_vanishing(f: TestFunction, rmax: int) -> bool:
     threshold meaningful across r: the raw sums grow like the multiplicity,
     so their roundoff does too.
     """
-    p, d = f.p, f.d
     for r in range(rmax + 1):
-        scale = float(p ** ((max(r, 1) - 1) * d))
-        if float(np.abs(srw_profile(f, r)).max()) >= CHECK_TOL * scale:
+        if float(np.abs(srw_profile(f, r)).max()) >= CHECK_TOL * _tower_multiplicity(f.p, f.d, r):
             return False
     return True
 
@@ -558,6 +567,16 @@ class SumCheck:
     value: complex
     predicted: complex
     passed: bool
+
+
+def _brute_phase_sum(cols, m: int, w: int) -> complex:
+    """sum over every choice (c_1, ..., c_d) of one entry from each column of
+    e^{2 pi i w (c_1 + ... + c_d) / m}, literally: each grid point's exponent is
+    reduced mod m and exponentiated on its own (the oracle side of the checks)."""
+    tot = np.zeros(1, dtype=np.int64)
+    for col in cols:
+        tot = ((tot[:, None] + col[None, :]) % m).ravel()
+    return complex(np.exp(2j * np.pi * ((tot * (w % m)) % m) / m).sum())
 
 
 def rsum_check(r: int, k, w: int) -> SumCheck:
@@ -581,20 +600,12 @@ def rsum_check(r: int, k, w: int) -> SumCheck:
         raise ResourceLimitError(f"brute-force grid 2^{(r-2)*d} exceeds cap {BRUTE_GRID_CAP}")
     wm = w % m
     u = np.arange(m, dtype=np.int64)
-    tot = np.zeros(1, dtype=np.int64)
-    for bit in k:
-        col = (u * (u + bit)) % m
-        tot = ((tot[:, None] + col[None, :]) % m).ravel()
-    value = complex(np.exp(2j * np.pi * ((tot * wm) % m) / m).sum())
+    value = _brute_phase_sum([(u * (u + bit)) % m for bit in k], m, wm)
 
     if wm == 0:
         predicted = complex(m**d)
     else:
-        s = 0
-        w1 = wm
-        while w1 % 2 == 0:
-            w1 //= 2
-            s += 1
+        s, w1 = valuation(wm, 2)
         r2 = r - s  # wm < 2^{r-2} forces s <= r-3, hence r2 >= 3
         scale = 2 ** (s * d)
         if r2 == 3:
@@ -602,7 +613,7 @@ def rsum_check(r: int, k, w: int) -> SumCheck:
         elif any(k):
             predicted = 0j
         else:
-            predicted = scale * _gauss_like(2 ** (r2 - 2), w1) ** d
+            predicted = scale * gauss_sum(2 ** (r2 - 2), w1) ** d
     return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= CHECK_TOL * max(1.0, abs(predicted)))
 
 
@@ -625,37 +636,22 @@ def tsum_check(p: int, r: int, k, w: int) -> SumCheck:
         raise ResourceLimitError(f"brute-force grid p^{(r-1)*d} exceeds cap {BRUTE_GRID_CAP}")
     wm = w % denom
     u = np.arange(p ** (r - 1), dtype=np.int64)
-    tot = np.zeros(1, dtype=np.int64)
-    for c in k:
-        col = (((c % denom) + p * u) ** 2) % denom
-        tot = ((tot[:, None] + col[None, :]) % denom).ravel()
-    value = complex(np.exp(2j * np.pi * ((tot * wm) % denom) / denom).sum())
+    value = _brute_phase_sum([(((c % denom) + p * u) ** 2) % denom for c in k], denom, wm)
 
     if wm == 0:
         predicted = complex(p ** ((r - 1) * d))
     else:
-        s = 0
-        w1 = wm
-        while w1 % p == 0:
-            w1 //= p
-            s += 1
+        s, w1 = valuation(wm, p)
         r2 = r - s  # wm < p^r nonzero forces s <= r-1, hence r2 >= 1
         scale = p ** (s * d)
         if r2 == 1:
             qk = sum(c * c for c in k) % p
             predicted = scale * cmath.exp(2j * math.pi * ((qk * w1) % p) / p)
         elif all(c % p == 0 for c in k):
-            predicted = scale * p**d * _gauss_like(p ** (r2 - 2), w1) ** d
+            predicted = scale * p**d * gauss_sum(p ** (r2 - 2), w1) ** d
         else:
             predicted = 0j
     return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= CHECK_TOL * max(1.0, abs(predicted)))
-
-
-def _gauss_like(q: int, a: int) -> complex:
-    # sum_{t mod q} e^{2 pi i a t^2 / q}; local import avoids a cycle
-    from .density import gauss_sum
-
-    return gauss_sum(q, a)
 
 
 # ---------------------------------------------------------------------------

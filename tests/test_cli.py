@@ -295,6 +295,38 @@ def test_census_output_is_byte_identical(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_GOLDEN[command]
 
 
+# sha256 of the stdout of the Gauss-sum, theta, cusp and S(r, w) commands and
+# of both output formats, captured before the theta tail, the phase sums and
+# the field formats each got one helper; it must not change by one byte
+PHASE_SUM_GOLDEN = {
+    "gauss --q 27 --amax 8":
+        "c07361705632a029abd3f7c9663638483c4de59c6858d727486f606545dbe1d5",
+    "acoeff --d 4 --p 3 --hmax 4 --nmax 20":
+        "fe356e48966f0ed7c814099a915229fb9022024a962c0b84cc6dba9e56020441",
+    "theta-verify --p 3 --d 2 --tau 0+1i --eps 1e-12 --seed 7":
+        "ee86f0f377b90e7878c615602b2f9fd2486577e2a98316c44366656f383464ac",
+    "cusp-check --p 5 --d 3 --kind random-cusp --seed 2":
+        "69925d5e1bf5c1444403aeb3f7ce8d83adc7ff613f31f254a98aae9d121b5108",
+    "srw --p 3 --d 2 --rmax 3 --kind random-cusp":
+        "613199d6b8f9ec10e2d4f2cecd1f32f95410350d23aee10f4cc865337ecbf425",
+    "density --p 2 --d 5 --n 96":
+        "267194271619d604a597d579db016b88581b2cd96b71dc5b559c2bac66a447e7",
+    "theta-verify --p 5 --d 4 --tau 0.3+0.2i --seed 3":
+        "e0c400f54419c3a597196d070b496ad76c4d41255dc9a186a65d34551429e117",
+    "srw --p 5 --d 3 --rmax 3 --kind random-even --seed 4":
+        "ad585526ca1a473d0b988d58a0085ec131edeca813be5d8fff2124a32a897e5a",
+    "theta-verify --p 5 --d 4 --tau 0.3+0.2i --seed 3 --format json":
+        "025ac02580f7f18212aa9cebef2597ec323e362b0f9b9a4742c7b017e9c7d99c",
+}
+
+
+@pytest.mark.parametrize("command", PHASE_SUM_GOLDEN)
+def test_phase_sum_output_is_byte_identical(command, capsys):
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PHASE_SUM_GOLDEN[command]
+
+
 def test_write_failure_maps_to_exit_one(capsys):
     code, _, _ = run_cli(
         ["repnum", "--d", "4", "--nmax", "2", "--out", "/nonexistent-dir/x.csv"], capsys

@@ -242,6 +242,28 @@ def test_decay_study_matches_the_per_n_measures():
             assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
 
 
+@pytest.mark.parametrize("d,p,a,parity", [
+    (5, 3, 0, "even"), (5, 3, 2, "even"), (5, 5, 0, "odd"), (6, 5, 3, "odd"),
+    (6, 3, 0, None), (5, 7, 4, None), (4, 5, 0, "odd"),
+])
+def test_decay_study_equals_the_per_n_reference(d, p, a, parity):
+    windows = dyadic_windows(3, 9)
+    rows = decay_study(d, p, a, windows, parity=parity)
+    assert len(rows) == len(windows)
+    for row, (lo, hi) in zip(rows, windows):
+        tvs = []
+        for n in range(lo, hi):
+            if n % p != a or (parity == "odd" and n % 2 == 0) or (parity == "even" and n % 2 == 1):
+                continue
+            mu = empirical_measure(d, n, p)
+            if not mu.empty:
+                tvs.append(tv_to_uniform(mu))
+        assert tvs, (lo, hi)
+        assert (row.lo, row.hi, row.samples) == (lo, hi, len(tvs))
+        assert row.under_sampled == (len(tvs) < 30)
+        assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
+
+
 def test_coeff_growth_scan_requires_cusp():
     with pytest.raises(ValidationError):
         coeff_growth_scan(random_even_function(3, 2, 1), 2, 50)

@@ -285,6 +285,20 @@ def test_theta_tail_bound_at_small_imaginary_part():
     assert abs(doubled.value - full.value) <= full.tail
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-8])
+@pytest.mark.parametrize("tau", [1j, 0.3 + 0.05j, 2.5j])
+@pytest.mark.parametrize("p,d", [(3, 2), (3, 4), (5, 2), (5, 4)])
+def test_theta_tail_never_exceeds_eps(p, d, tau, eps):
+    # the cut is the smallest whose a priori bound is <= eps, and the reported
+    # tail never exceeds that bound, for the full series and every component
+    f = random_even_function(p, d, 7)
+    values = [theta_eval_full(f, tau, eps)]
+    values += [theta_j_eval_full(f, j, tau, eps) for j in [*range(p), INF]]
+    for v in values:
+        assert 0 < v.tail <= eps
+        assert v.radius > 0
+
+
 def test_theta_cut_cap_fails_fast():
     with pytest.raises(ResourceLimitError):
         theta_eval(constant_function(3, 1), 1e-15j)
