@@ -13,7 +13,6 @@ composite p) and on the prime cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -231,7 +230,6 @@ def valuation(n: int, p: int) -> tuple[int, int]:
     return ord_, n
 
 
-@lru_cache(maxsize=None)
 def j_prime_k(j: int, p: int) -> tuple[int, int]:
     """The involution partner j' in [1, p-1] with 4*j*j' + 1 = 0 mod p,
     together with the integer k_j = (4*j*j' + 1) / p.

@@ -13,9 +13,9 @@ sieve that calls have needed so far.  Only p = 2 and the primes dividing n, foun
 factorization, are evaluated in closed form.  The table entries are the
 closed form's own floats and the product is taken in ascending prime order,
 so the value is the same double as a per-prime evaluation gives.  All
-transcendental work is double precision; closed-form versus direct
-comparisons in this package use absolute tolerance 1e-8 scaled by
-max(1, |value|), which direct sums of <= 10**4 roots of unity meet easily.
+transcendental work is double precision.  Direct sums of <= 10**4 roots of
+unity meet every closed-form tolerance easily: ``CHECK_TOL`` = 1e-9 absolute
+here, ``cli.ACOEFF_TOL`` = 1e-8 absolute and ``cli.GAUSS_TOL`` = 1e-9 relative.
 """
 
 from __future__ import annotations
@@ -254,13 +254,13 @@ _unramified: OrderedDict[int, np.ndarray] = OrderedDict()
 
 
 def _unramified_table(d: int, primes: np.ndarray, count: int) -> np.ndarray:
-    """The table for d, covering at least the first ``count`` of ``primes``."""
+    """The table for d, grown if shorter to exactly the first ``count`` of ``primes``."""
     table = _unramified.pop(d, None)
     if table is None:
         table = np.empty((1 if d % 2 == 0 else 2, 0))
     have = table.shape[1]
     if have < count:
-        fresh = primes[have : max(count, 2 * have)].tolist()
+        fresh = primes[have:count].tolist()
         rows = [[math.nan if p == 2 else _odd_delta(p, d, 0, chi) for p in fresh]
                 for chi in (1, -1)[: table.shape[0]]]
         table = np.concatenate([table, np.array(rows, dtype=np.float64)], axis=1)

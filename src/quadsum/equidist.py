@@ -29,9 +29,9 @@ MIN_SAMPLES = 30
 class EmpiricalMeasure:
     """Normalized residue histogram of X_d(n) on the quadric level a = n mod p.
 
-    For a = 0 the points of (pZ)^d are excluded and the origin is removed
-    from the support, so the comparison measure is uniform on the punctured
-    quadric.
+    Census row n is zero off X(a), so the masses are that row read on
+    ``_level_support``, which for a = 0 drops the origin: the points of
+    (pZ)^d are excluded and the comparison is uniform on the punctured quadric.
     """
 
     p: int
@@ -52,27 +52,22 @@ def empirical_measure(d: int, n: int, p: int) -> EmpiricalMeasure:
     if n < 1:
         raise ValidationError(f"empirical_measure requires n >= 1, got {n}")
     a = n % p
-    row = residue_census(d, n, p)[n]
     support = _level_support(p, d, a)
-    total = _admissible_points(row, a)
+    counts = residue_census(d, n, p)[n][support]
+    total = int(counts.sum())
     return EmpiricalMeasure(
         p=p, d=d, a=a, n=n, support=support,
-        masses=row[support] / total if total else np.zeros(len(support)),
+        masses=counts / total if total else np.zeros(len(support)),
         points_counted=total, empty=total == 0,
     )
 
 
 def _level_support(p: int, d: int, a: int) -> np.ndarray:
-    """Encoded indices of X_{p,d}(a), without the origin when a = 0."""
+    """Encoded indices of X_{p,d}(a), without the origin when a = 0.  Census
+    row n, n = a mod p, is zero off X(a), so the row read here holds every
+    point of X_d(n) but those of (pZ)^d: the one home of that exclusion."""
     support = quadric_indices(p, d, a)
     return support[support != 0] if a == 0 else support
-
-
-def _admissible_points(row: np.ndarray, a: int) -> int:
-    """The points behind census row n, level a = n mod p: all of them, less
-    the (pZ)^d points (residue 0) when a = 0."""
-    total = int(row.sum())
-    return total - int(row[0]) if a == 0 else total
 
 
 def _tv(masses: np.ndarray, uniform: float) -> float:
@@ -123,14 +118,12 @@ def weyl_sum(f: TestFunction, d: int, n: int) -> complex:
     require_prime(p, "weyl_sum", odd=True)
     if n < 1:
         raise ValidationError(f"weyl_sum requires n >= 1, got {n}")
-    row = residue_census(d, n, p)[n]
-    num = complex(row @ f.values)
-    if n % p == 0:
-        num -= int(row[0]) * complex(f.values[0])
-    denom = _admissible_points(row, n % p)
-    if denom == 0:
+    support = _level_support(p, d, n % p)
+    counts = residue_census(d, n, p)[n][support]
+    total = int(counts.sum())
+    if total == 0:
         raise EmptyMeasureError(f"no admissible lattice points at n={n}")
-    return num / denom
+    return complex((counts * f.values[support]).sum()) / total
 
 
 @dataclass(frozen=True)
@@ -185,10 +178,10 @@ def decay_study(
         if parity is not None and start % 2 != (parity == "odd"):
             start += p  # p is odd: the next n = a mod p has the other parity
         for n in range(start, hi, step):
-            row = census[n]
-            total = _admissible_points(row, a)
+            counts = census[n][support]
+            total = int(counts.sum())
             if total:
-                tvs.append(_tv(row[support] / total, uniform))
+                tvs.append(_tv(counts / total, uniform))
         out.append(
             WindowSummary(
                 lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < MIN_SAMPLES,
@@ -216,6 +209,8 @@ def coeff_growth_scan(f: TestFunction, d: int, nmax: int) -> list[GrowthRow]:
     """
     if f.d != d:
         raise ValidationError(f"test function has d={f.d}, asked for d={d}")
+    if nmax < 1:
+        raise ValidationError(f"coeff_growth_scan requires nmax >= 1, got {nmax}")
     check = cusp_check(f)
     if not check.is_cusp:
         raise ValidationError(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -205,21 +205,16 @@ def random_even_function(p: int, d: int, seed: int) -> TestFunction:
 
 def random_cusp_function(p: int, d: int, seed: int) -> TestFunction:
     """Seeded even function satisfying the cusp vanishing conditions exactly:
-    zero at the pinned corners, zero sum over every level set of Q."""
+    zero at the pinned points, zero sum over every level set of Q."""
     f = random_even_function(p, d, seed)
     v = f.values.copy()
-    pinned = {0}
-    if p == 2:
-        pinned.add(2**d - 1)  # the all-ones corner
-    for e in pinned:
-        v[e] = 0.0
-    q = qmod_vector(p, d)
-    for a in range(quadric_modulus(p)):
-        idx = np.nonzero(q == a)[0]
-        free = np.array([e for e in idx if int(e) not in pinned], dtype=np.int64)
-        if free.size == 0:
-            continue
-        v[free] -= v[idx].sum() / free.size
+    levels, points = _cusp_conditions(p, d)
+    pinned = np.array([e for _, e in points])
+    v[pinned] = 0.0
+    for idx in levels:
+        free = np.setdiff1d(idx, pinned, assume_unique=True)
+        if free.size:
+            v[free] -= v[idx].sum() / free.size
     return TestFunction(p, d, v)
 
 
@@ -446,9 +441,7 @@ def verify_generator_actions(
                 w * theta_j_eval(g, jp, tau_inv, eps),
             )
         )
-    rows.append(
-        _residual("gamma j=0", theta_j_eval(f, INF, tau, eps), w * theta_j_eval(f, 0, tau_inv, eps))
-    )
+    rows.append(replace(verify_poisson(f, tau, eps), label="gamma j=0"))
     rows.append(
         _residual(
             "gamma j=inf",
@@ -470,21 +463,28 @@ class CuspCheck:
     failing_condition: str | None
 
 
-def cusp_check(f: TestFunction) -> CuspCheck:
-    """Vanishing conditions for the weighted theta series to be a cusp form:
-    zero sum over every level set of Q, zero at the origin, and (p = 2 only)
-    zero at the all-ones corner.  Reports the first failure, level sums in
-    ascending order of the level, then the corner conditions."""
-    p, d = f.p, f.d
-    v = f.values
+def _cusp_conditions(p: int, d: int) -> tuple[list[np.ndarray], list[tuple[str, int]]]:
+    """The cusp conditions on (Z/pZ)^d: the index sets of the levels of Q, in
+    ascending order (f sums to zero on each), then the labelled points f
+    vanishes at: the all-ones corner (p = 2 only), then the origin."""
     q = qmod_vector(p, d)
-    for a in range(quadric_modulus(p)):
-        if abs(v[q == a].sum()) > CHECK_TOL:
+    levels = [np.nonzero(q == a)[0] for a in range(quadric_modulus(p))]
+    points = [("corner (1,...,1)", 2**d - 1)] if p == 2 else []
+    return levels, points + [("origin", 0)]
+
+
+def cusp_check(f: TestFunction) -> CuspCheck:
+    """Vanishing conditions for the weighted theta series to be a cusp form,
+    ``_cusp_conditions``.  Reports the first failure, level sums in
+    ascending order of the level, then the pinned points."""
+    levels, points = _cusp_conditions(f.p, f.d)
+    v = f.values
+    for a, idx in enumerate(levels):
+        if abs(v[idx].sum()) > CHECK_TOL:
             return CuspCheck(is_cusp=False, failing_condition=f"level-sum a={a}")
-    if p == 2 and abs(v[2**d - 1]) > CHECK_TOL:
-        return CuspCheck(is_cusp=False, failing_condition="corner (1,...,1)")
-    if abs(v[0]) > CHECK_TOL:
-        return CuspCheck(is_cusp=False, failing_condition="origin")
+    for label, e in points:
+        if abs(v[e]) > CHECK_TOL:
+            return CuspCheck(is_cusp=False, failing_condition=label)
     return CuspCheck(is_cusp=True, failing_condition=None)
 
 
@@ -556,6 +556,8 @@ def srw_vanishing(f: TestFunction, rmax: int) -> bool:
     threshold meaningful across r: the raw sums grow like the multiplicity,
     so their roundoff does too.
     """
+    if rmax < 0:
+        raise ValidationError(f"srw_vanishing requires rmax >= 0, got {rmax}")
     for r in range(rmax + 1):
         if float(np.abs(srw_profile(f, r)).max()) >= CHECK_TOL * _tower_multiplicity(f.p, f.d, r):
             return False

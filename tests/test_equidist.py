@@ -285,3 +285,21 @@ def test_coeff_growth_scan_table():
     assert max(ratios[-50:]) < max(ratios)
     for r in rows[:5]:
         assert r.kloosterman_ratio == pytest.approx(r.abs_c / r.n**0.75)
+
+
+def test_census_row_vanishes_off_its_level():
+    # the support of row n is inside X(n mod p): the premise of reading every
+    # measure and Weyl sum on the level support alone
+    from quadsum.lattice import residue_census
+
+    for d, p in ((5, 3), (4, 5), (3, 7)):
+        census = residue_census(d, 120, p)
+        for n in range(121):
+            off = np.ones(p**d, dtype=bool)
+            off[quadric_indices(p, d, n % p)] = False
+            assert not census[n][off].any(), (d, p, n)
+
+
+def test_coeff_growth_scan_rejects_empty_table():
+    with pytest.raises(ValidationError):
+        coeff_growth_scan(random_cusp_function(3, 5, 4), 5, 0)

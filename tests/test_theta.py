@@ -3,7 +3,9 @@ truncated evaluations against hand sums, the transformation identities, the
 cusp criterion with its exponential-sum cross-checks, and weak modularity."""
 
 import cmath
+import hashlib
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -578,3 +580,52 @@ def test_half_power_principal_branch():
         assert -math.pi / 2 < cmath.phase(root) <= math.pi / 2
         assert half_power(z, 2) == pytest.approx(z)
     assert half_power(4.0, 3) == pytest.approx(8.0)
+
+
+# sha256 of the value bytes of random_cusp_function over d = 1..4 and seeds
+# 0, 1, 2, captured before the cusp conditions got their one home
+RANDOM_CUSP_GOLDEN = {
+    2: "9e4d72f79e9dfe3ec2c3d86d6947fd286eed2628319764515785e68a19321c71",
+    3: "5f4af855192bc2633e39961a7fad95003e9ec193a9cbd4c2f521a0e0ced82a4a",
+    5: "74b116c4718d81b81511b256ee30e6a0ec5981392006617cc9dcc12195823397",
+    7: "5f469fd937a01d5be9ffef73ab1ff5e8b8fb56b7c805ad00bc0ee4a4e8f279dd",
+}
+
+
+@pytest.mark.parametrize("p", RANDOM_CUSP_GOLDEN)
+def test_random_cusp_function_values_are_bit_identical(p):
+    h = hashlib.sha256()
+    for d in range(1, 5):
+        for seed in (0, 1, 2):
+            h.update(random_cusp_function(p, d, seed).values.tobytes())
+    assert h.hexdigest() == RANDOM_CUSP_GOLDEN[p]
+
+
+def test_cusp_check_reports_each_pinned_point_by_label():
+    # a unit at a pinned point, taken back out of its level sum at another
+    # point of that level, fails only the pinned condition
+    for p, d in ((2, 5), (3, 3), (5, 2)):
+        f = random_cusp_function(p, d, 1)
+        pinned = {0: "origin", 2**d - 1: "corner (1,...,1)"} if p == 2 else {0: "origin"}
+        levels = [quadric_indices(p, d, a) for a in range(4 if p == 2 else p)]
+        for e, label in pinned.items():
+            level = next(idx for idx in levels if e in idx)
+            other = next(int(i) for i in level if int(i) not in pinned)
+            v = f.values.copy()
+            v[e] += 1.0
+            v[other] -= 1.0
+            assert cusp_check(TestFunction(p, d, v)).failing_condition == label
+
+
+def test_gamma_zero_row_is_the_poisson_residual():
+    for p, d, tau in ((3, 2, 1j), (5, 3, 0.3 + 0.2j), (7, 4, 0.1 + 0.9j)):
+        f = random_even_function(p, d, 2)
+        rows = {row.label: row for row in verify_generator_actions(f, tau)}
+        assert rows["gamma j=0"] == replace(verify_poisson(f, tau), label="gamma j=0")
+
+
+def test_srw_vanishing_rejects_negative_rmax():
+    with pytest.raises(ValidationError):
+        srw_vanishing(constant_function(3, 2), -1)
+    with pytest.raises(ValidationError):
+        srw_vanishing(random_cusp_function(3, 2, 1), -1)
