@@ -9,7 +9,6 @@ the sup deviation) is the reported discrepancy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from statistics import median
 from typing import Optional, Sequence
@@ -70,16 +69,18 @@ def _level_support(p: int, d: int, a: int) -> np.ndarray:
     return support[support != 0] if a == 0 else support
 
 
-def _tv(masses: np.ndarray, uniform: float) -> float:
-    """Half the l1 distance between ``masses`` and the constant ``uniform``."""
-    return 0.5 * float(np.abs(masses - uniform).sum())
+def _tv(masses: np.ndarray, uniform: float) -> np.ndarray:
+    """Half the l1 distance between each row of ``masses`` and the constant
+    ``uniform``: every row is summed alone, along its contiguous axis, so a
+    row's TV does not depend on the rows read with it."""
+    return 0.5 * np.abs(masses - uniform).sum(axis=-1)
 
 
 def tv_to_uniform(mu: EmpiricalMeasure) -> float:
     """Half the l1 distance between mu and the uniform measure on its support."""
     if mu.empty:
         raise EmptyMeasureError(f"no lattice points behind measure at n={mu.n}")
-    return _tv(mu.masses, 1.0 / len(mu.support))
+    return float(_tv(mu.masses, 1.0 / len(mu.support)))
 
 
 def sup_deviation(mu: EmpiricalMeasure) -> float:
@@ -132,8 +133,8 @@ class WindowSummary:
     hi: int
     samples: int
     under_sampled: bool
-    median_tv: float
-    max_tv: float
+    median_tv: Optional[float]  # None when the window holds no sampled n
+    max_tv: Optional[float]
 
 
 def dyadic_windows(kmin: int, kmax: int) -> list[tuple[int, int]]:
@@ -151,7 +152,8 @@ def decay_study(
     For d = 4 the study must be restricted to odd n (the even orbits carry
     bounded representation numbers and cannot equidistribute), so the parity
     filter is mandatory there.  Windows with fewer than ``MIN_SAMPLES``
-    admissible n are flagged under-sampled but still summarized.
+    admissible n are flagged under-sampled but still summarized; a window
+    with none reports its median and max TV as None.
     """
     if d < 4:
         raise ValidationError(f"decay_study requires d >= 4, got {d}")
@@ -173,20 +175,18 @@ def decay_study(
     step = p if parity is None else 2 * p
     out: list[WindowSummary] = []
     for lo, hi in windows:
-        tvs: list[float] = []
         start = lo + (a - lo) % p
         if parity is not None and start % 2 != (parity == "odd"):
             start += p  # p is odd: the next n = a mod p has the other parity
-        for n in range(start, hi, step):
-            counts = census[n][support]
-            total = int(counts.sum())
-            if total:
-                tvs.append(_tv(counts / total, uniform))
+        counts = census[np.arange(start, hi, step)[:, None], support]
+        totals = counts.sum(axis=1)
+        sampled = totals > 0
+        tvs = _tv(counts[sampled] / totals[sampled, None], uniform).tolist()
         out.append(
             WindowSummary(
                 lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < MIN_SAMPLES,
-                median_tv=float(median(tvs)) if tvs else math.nan,
-                max_tv=float(max(tvs)) if tvs else math.nan,
+                median_tv=median(tvs) if tvs else None,
+                max_tv=max(tvs) if tvs else None,
             )
         )
     return out

@@ -12,10 +12,11 @@ cross-check each other:
 
 ``residue_census`` extends the convolution path with residue classes mod p;
 it is the workhorse behind theta coefficients, histograms, and the
-equidistribution experiments.  Q is diagonal and t, -t have the same square,
-so every count is even in each coordinate: the convolution runs on the
-p//2 + 1 sign classes min(r, p - r) of each coordinate, and one gather expands
-the class table to all p**d residues.  It keeps only the most recent table:
+equidistribution experiments.  Q is diagonal, so a count is unchanged by the
+signed coordinate permutations: it depends on a residue vector only through
+the multiset of its sign classes min(r, p - r).  The convolution runs on those
+C(h + d - 1, d) class multisets, h = p//2 + 1, and one gather expands the
+multiset table to all p**d residues.  It keeps only the most recent table:
 callers work on one (d, p) at a time (a decay study and the check that reads
 it back, a growth scan), so no older table is reused, and one alone can take
 gigabytes.
@@ -248,13 +249,17 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
     x = e mod p (base-p encoded).  The returned array is read-only.
 
-    The count at e depends on each e_i only through its sign class
-    c(e_i) = min(e_i, p - e_i), so the table is built on the h = p//2 + 1
-    classes: each axis pass adds the rows shifted by t^2, t = 0..s, into class
-    c(t mod p), twice when t > 0 and -t = t mod p.  The class table is kept
-    class-major, (h**k, nmax+1), so every shifted add is a contiguous row
-    slice; at the end it is copied row-major, the class-major array is freed,
-    and one gather at sum_i c(e_i) h**i fills every residue column.
+    Negating or permuting coordinates keeps Q, so the count at e depends only
+    on the multiset of sign classes c(e_i) = min(e_i, p - e_i), of which there
+    are h = p//2 + 1.  The table is built with one row per class multiset, in
+    colex order (largest class slowest), so the rows whose largest class is at
+    most c form a leading slice.  Each axis pass puts the new axis's class c on
+    top: the new rows with largest class c are that slice with c added, and
+    each t = 0..s of class c(t mod p) adds the slice shifted by t^2 into their
+    block, twice when t > 0 and -t = t mod p.  So a pass works on C(h+k-1, k)
+    rows, not the h**k ordered class tuples, and every shifted add is a
+    contiguous row slice.  At the end the table is copied row-major and freed,
+    and one gather at the row of each residue's multiset fills every column.
 
     Only the most recent table is kept, as callers reuse nothing older: the
     same (d, p) with no larger nmax gets a view of it, any other request drops
@@ -273,27 +278,36 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     if _kept_census is not None and _kept_census[:2] == (d, p) and _kept_census[2].shape[0] > nmax:
         return _kept_census[2][: nmax + 1]
     _kept_census = None  # free the old table before the new one is allocated
-    h = p // 2 + 1
+    classes = np.arange(p // 2 + 1)
     r = np.arange(p)
     cls = np.minimum(r, p - r)  # sign class c(r) of each residue
     table = np.zeros((1, nmax + 1), dtype=np.int64)
     table[0, 0] = 1
+    top = np.zeros(1, dtype=np.int64)  # largest class of each row's multiset
+    rank = np.zeros(1, dtype=np.int64)  # multiset row of each residue vector of the axes done
+    insert = offs = None
     for _ in range(d):
-        block = table.shape[0]
-        new = np.zeros((block * h, nmax + 1), dtype=np.int64)
+        upto = np.searchsorted(top, classes, side="right")  # rows with largest class <= c
+        before, offs = offs, np.concatenate(([0], np.cumsum(upto)))  # block of largest class c
+        new = np.zeros((offs[-1], nmax + 1), dtype=np.int64)
         for t in range(s + 1):
             tsq = t * t
             c = cls[t % p]
             weight = 2 if t and 2 * t % p == 0 else 1  # -t lies in t's residue too
             for _ in range(weight):
-                new[c * block : (c + 1) * block, tsq:] += table[:, : nmax + 1 - tsq]
-        table = new
+                new[offs[c] : offs[c + 1], tsq:] += table[: upto[c], : nmax + 1 - tsq]
+        # new row of (row i's multiset plus class c): row i of block c when c is
+        # not below i's largest class; else that class stays on top, and c joins
+        # the rest, row i - before[top[i]] of the previous pass's table
+        prior, insert = insert, offs[:-1] + np.arange(len(top))[:, None]
+        i, c = np.nonzero(top[:, None] > classes)
+        if len(i):
+            insert[i, c] = offs[top[i]] + prior[i - before[top[i]], c]
+        rank = insert.T[cls][:, rank].reshape(-1)  # the new axis is the slowest digit
+        table, top = new, np.repeat(classes, upto)
     rows = np.ascontiguousarray(table.T)
-    del table, new  # the class-major table goes before the gather allocates
-    idx = np.zeros(1, dtype=np.int64)
-    for i in range(d):
-        idx = np.add.outer(cls * h**i, idx).reshape(-1)
-    arr = np.take(rows, idx, axis=1)
+    del table, new  # the multiset table goes before the gather allocates
+    arr = np.take(rows, rank, axis=1)
     arr.setflags(write=False)
     _kept_census = (d, p, arr)
     return arr

@@ -245,9 +245,12 @@ ORACLE_GRID = [
     for nmax in sorted({0, 1, p * p, 50, 511})
     if (nmax + 1) * p**d <= ORACLE_CELLS
 ]
+# d = 7, 8 at p = 2, 3: the table has only d + 1 class multisets, each
+# standing for up to 1792 residue vectors
+HIGH_DIMENSION = [(p, d, nmax) for p in (2, 3) for d in (7, 8) for nmax in (0, 9, 30)]
 
 
-@pytest.mark.parametrize("p,d,nmax", ORACLE_GRID)
+@pytest.mark.parametrize("p,d,nmax", ORACLE_GRID + HIGH_DIMENSION)
 def test_residue_census_matches_per_residue_build(p, d, nmax):
     census = residue_census(d, nmax, p)
     assert census.shape == (nmax + 1, p**d) and census.dtype == np.int64
@@ -282,6 +285,18 @@ def test_residue_census_peak_memory_stays_near_its_table():
     tracemalloc.start()
     try:
         census = residue_census(4, 2**14 - 1, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * census.nbytes
+
+
+def test_residue_census_at_p2_peaks_near_its_table():
+    # with h = p = 2 an ordered class table would be as large as the census
+    residue_census(1, 0, 2)  # drop any larger kept table first
+    tracemalloc.start()
+    try:
+        census = residue_census(7, 2**13 - 1, 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

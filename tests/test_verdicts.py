@@ -126,3 +126,47 @@ def test_rule_home_output_is_byte_identical(command, capsys):
     code, out, err = run_cli(command.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == RULE_HOME_GOLDEN[command]
+
+
+# sha256 of stdout of decay studies whose distances are not all 0, in both
+# formats, captured before the census was built on class multisets and each
+# window was scored in one pass; it must not change by one byte
+DECAY_GOLDEN = {
+    "equidist --d 5 --p 3 --a 1 --kmin 6 --kmax 10":
+        "b8dca645acc5b289e081d4c403437d0943c89aa2b1e65205a4c6b5575311c769",
+    "equidist --d 5 --p 3 --a 1 --kmin 6 --kmax 10 --format json":
+        "b70641768cac3d083900adf4a87c62b6aa78976080a91214001e55d7c9e1c90a",
+    "equidist --d 5 --p 5 --a 2 --kmin 6 --kmax 11":
+        "e62caf282c29bc470a430afe50244caee512e2e4c245d26463c577df5ecccd21",
+    "equidist --d 5 --p 5 --a 2 --kmin 6 --kmax 11 --format json":
+        "7ce74e89c13b9f76e98d92aacf900a1d68913b23aa577bc715822d8137a20d80",
+    "equidist --d 4 --p 5 --a 1 --parity odd --kmin 6 --kmax 13":
+        "6edc6c888bdf7e4ead411e027e2f36e2de9500013b3c06c6e42c067289ef2624",
+    "equidist --d 4 --p 5 --a 1 --parity odd --kmin 6 --kmax 13 --format json":
+        "06e1b6b28c1790ea3c5839100024745320f0faac33b4ab29e74d4b2fc345533a",
+}
+
+
+@pytest.mark.parametrize("command", DECAY_GOLDEN)
+def test_decay_output_is_byte_identical(command, capsys):
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DECAY_GOLDEN[command]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_window_without_samples_prints_empty_distances(capsys):
+    # [4, 8) holds no n = 3 mod 7: n = 3 lies below it and n = 10 above
+    argv = ["equidist", "--d", "6", "--p", "7", "--a", "3", "--kmin", "2", "--kmax", "7"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "4,8,0,true,,"
+    assert "" not in _column(out, "median_tv")[1:]
+    code, out, err = run_cli(argv + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    rows = [json.loads(line, parse_constant=_reject_constant) for line in out.splitlines()]
+    assert (rows[0]["samples"], rows[0]["median_tv"], rows[0]["max_tv"]) == (0, None, None)
+    assert all(isinstance(row["max_tv"], float) for row in rows[1:])
