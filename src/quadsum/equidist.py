@@ -17,7 +17,8 @@ import numpy as np
 
 from .arith import require_prime
 from .errors import EmptyMeasureError, ValidationError
-from .lattice import decode_index, quadric_indices, residue_census
+from .lattice import decode_index, orbit_census, quadric_indices
+from .limits import ENTRY_CAP
 from .theta import TestFunction, cusp_check, theta_coeffs
 
 #: a decay-study window with fewer admissible n than this is flagged under-sampled
@@ -50,12 +51,9 @@ def empirical_measure(d: int, n: int, p: int) -> EmpiricalMeasure:
     require_prime(p, "empirical_measure", odd=True)
     if n < 1:
         raise ValidationError(f"empirical_measure requires n >= 1, got {n}")
-    a = n % p
-    support = _level_support(p, d, a)
-    counts = residue_census(d, n, p)[n][support]
-    total = int(counts.sum())
+    support, counts, total = _level_counts(d, n, p)
     return EmpiricalMeasure(
-        p=p, d=d, a=a, n=n, support=support,
+        p=p, d=d, a=n % p, n=n, support=support,
         masses=counts / total if total else np.zeros(len(support)),
         points_counted=total, empty=total == 0,
     )
@@ -67,6 +65,14 @@ def _level_support(p: int, d: int, a: int) -> np.ndarray:
     point of X_d(n) but those of (pZ)^d: the one home of that exclusion."""
     support = quadric_indices(p, d, a)
     return support[support != 0] if a == 0 else support
+
+
+def _level_counts(d: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The level support of n, census row n read on it, and its total."""
+    support = _level_support(p, d, n % p)
+    rows, rank = orbit_census(d, n, p)
+    counts = rows[n][rank[support]]
+    return support, counts, int(counts.sum())
 
 
 def _tv(masses: np.ndarray, uniform: float) -> np.ndarray:
@@ -119,9 +125,7 @@ def weyl_sum(f: TestFunction, d: int, n: int) -> complex:
     require_prime(p, "weyl_sum", odd=True)
     if n < 1:
         raise ValidationError(f"weyl_sum requires n >= 1, got {n}")
-    support = _level_support(p, d, n % p)
-    counts = residue_census(d, n, p)[n][support]
-    total = int(counts.sum())
+    support, counts, total = _level_counts(d, n, p)
     if total == 0:
         raise EmptyMeasureError(f"no admissible lattice points at n={n}")
     return complex((counts * f.values[support]).sum()) / total
@@ -169,19 +173,24 @@ def decay_study(
     for lo, hi in windows:
         if lo < 1 or hi <= lo:
             raise ValidationError(f"bad window [{lo}, {hi})")
-    census = residue_census(d, max(hi for _, hi in windows) - 1, p)
-    support = _level_support(p, d, a)
+    support = _level_support(p, d, a)  # refuses p**d > ENTRY_CAP before a rank of p**d is built
+    rows, rank = orbit_census(d, max(hi for _, hi in windows) - 1, p)
+    cols = rank[support]
     uniform = 1.0 / len(support)
     step = p if parity is None else 2 * p
+    block = max(1, ENTRY_CAP // len(support))  # n per read: at most ENTRY_CAP counts each
     out: list[WindowSummary] = []
     for lo, hi in windows:
         start = lo + (a - lo) % p
         if parity is not None and start % 2 != (parity == "odd"):
             start += p  # p is odd: the next n = a mod p has the other parity
-        counts = census[np.arange(start, hi, step)[:, None], support]
-        totals = counts.sum(axis=1)
-        sampled = totals > 0
-        tvs = _tv(counts[sampled] / totals[sampled, None], uniform).tolist()
+        ns = np.arange(start, hi, step)
+        tvs = []
+        for i in range(0, len(ns), block):
+            counts = rows[ns[i : i + block, None], cols]
+            totals = counts.sum(axis=1)
+            sampled = totals > 0
+            tvs += _tv(counts[sampled] / totals[sampled, None], uniform).tolist()
         out.append(
             WindowSummary(
                 lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < MIN_SAMPLES,

@@ -10,22 +10,24 @@ cross-check each other:
 * ``count_range``        -- d-fold additive convolution of the 1-d
                             square-counting sequence (no enumeration at all).
 
-``residue_census`` extends the convolution path with residue classes mod p;
+``orbit_census`` extends the convolution path with residue classes mod p;
 it is the workhorse behind theta coefficients, histograms, and the
 equidistribution experiments.  Q is diagonal, so a count is unchanged by the
 signed coordinate permutations: it depends on a residue vector only through
-the multiset of its sign classes min(r, p - r).  The convolution runs on those
-C(h + d - 1, d) class multisets, h = p//2 + 1, and one gather expands the
-multiset table to all p**d residues.  It keeps only the most recent table:
-callers work on one (d, p) at a time (a decay study and the check that reads
-it back, a growth scan), so no older table is reused, and one alone can take
-gigabytes.
+its orbit under them, the multiset of its sign classes min(r, p - r).  The
+convolution runs on those C(h + d - 1, d) class multisets, h = p//2 + 1, and
+``rank`` maps each of the p**d residues to its multiset row, so a reader
+gathers only the columns it needs.  ``residue_census`` expands the whole
+table to p**d columns for the callers that want every residue (theta
+coefficients, the oracles) and keeps nothing.  Only the most recent orbit
+table is kept: callers work on one (d, p) at a time (a decay study and the
+check that reads it back, a growth scan), so no older table is reused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gamma, isqrt, pi
+from math import comb, gamma, isqrt, pi
 from typing import Callable, Optional
 
 import numpy as np
@@ -192,7 +194,7 @@ def r4_jacobi(n: int) -> int:
 # residue machinery mod p
 # ---------------------------------------------------------------------------
 
-_kept_census: Optional[tuple[int, int, np.ndarray]] = None
+_kept_census: Optional[tuple[int, int, np.ndarray, np.ndarray]] = None
 
 
 def encode_residues(coords: tuple[int, ...], p: int) -> int:
@@ -245,21 +247,25 @@ def quadric_points(p: int, d: int, a: int) -> list[tuple[int, ...]]:
     return [decode_index(int(e), p, d) for e in idx]
 
 
-def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
-    """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
-    x = e mod p (base-p encoded).  The returned array is read-only.
+def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The census on class multisets: ``(rows, rank)``, where ``rows`` is the
+    (nmax+1, C(h+d-1, d)) table and ``rank[e]`` the row of residue e, so that
+    ``rows[n, rank[e]]`` counts x in Z^d with Q(x,x) = n and x = e mod p
+    (base-p encoded).  Both arrays are read-only.
 
     Negating or permuting coordinates keeps Q, so the count at e depends only
     on the multiset of sign classes c(e_i) = min(e_i, p - e_i), of which there
-    are h = p//2 + 1.  The table is built with one row per class multiset, in
-    colex order (largest class slowest), so the rows whose largest class is at
-    most c form a leading slice.  Each axis pass puts the new axis's class c on
-    top: the new rows with largest class c are that slice with c added, and
-    each t = 0..s of class c(t mod p) adds the slice shifted by t^2 into their
-    block, twice when t > 0 and -t = t mod p.  So a pass works on C(h+k-1, k)
-    rows, not the h**k ordered class tuples, and every shifted add is a
-    contiguous row slice.  At the end the table is copied row-major and freed,
-    and one gather at the row of each residue's multiset fills every column.
+    are h = p//2 + 1: the multisets are the orbits of the signed coordinate
+    permutations on (Z/pZ)^d.  The table is built with one row per class
+    multiset, in colex order (largest class slowest), so the rows whose largest
+    class is at most c form a leading slice.  Each axis pass puts the new
+    axis's class c on top: the new rows with largest class c are that slice
+    with c added, and each t = 0..s of class c(t mod p) adds the slice shifted
+    by t^2 into their block, twice when t > 0 and -t = t mod p.  So a pass
+    works on C(h+k-1, k) rows, not the h**k ordered class tuples, and every
+    shifted add is a contiguous row slice.  A new entry sums at most 2s + 1
+    entries of the previous pass, which bounds the 64-bit check before each
+    pass.  At the end the table is copied row-major.
 
     Only the most recent table is kept, as callers reuse nothing older: the
     same (d, p) with no larger nmax gets a view of it, any other request drops
@@ -267,18 +273,17 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     """
     global _kept_census
     if d < 1 or nmax < 0:
-        raise ValidationError(f"residue_census got d={d}, nmax={nmax}")
-    require_prime(p, "residue_census")
-    cells = (nmax + 1) * p**d
+        raise ValidationError(f"orbit_census got d={d}, nmax={nmax}")
+    require_prime(p, "orbit_census")
+    h = p // 2 + 1
+    cells = (nmax + 1) * comb(h + d - 1, d) + p**d
     if cells > CENSUS_CELL_CAP:
-        raise ResourceLimitError(f"census table of {cells} cells exceeds cap {CENSUS_CELL_CAP}")
-    s = isqrt(nmax)
-    if (2 * s + 1) ** d > 2**63 - 1:
-        raise ResourceLimitError("census counts may exceed the 64-bit cap")
+        raise ResourceLimitError(f"orbit census of {cells} cells exceeds cap {CENSUS_CELL_CAP}")
     if _kept_census is not None and _kept_census[:2] == (d, p) and _kept_census[2].shape[0] > nmax:
-        return _kept_census[2][: nmax + 1]
+        return _kept_census[2][: nmax + 1], _kept_census[3]
     _kept_census = None  # free the old table before the new one is allocated
-    classes = np.arange(p // 2 + 1)
+    s = isqrt(nmax)
+    classes = np.arange(h)
     r = np.arange(p)
     cls = np.minimum(r, p - r)  # sign class c(r) of each residue
     table = np.zeros((1, nmax + 1), dtype=np.int64)
@@ -287,6 +292,8 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     rank = np.zeros(1, dtype=np.int64)  # multiset row of each residue vector of the axes done
     insert = offs = None
     for _ in range(d):
+        if int(table.max()) * (2 * s + 1) > 2**63 - 1:
+            raise ResourceLimitError("census counts may exceed the 64-bit cap")
         upto = np.searchsorted(top, classes, side="right")  # rows with largest class <= c
         before, offs = offs, np.concatenate(([0], np.cumsum(upto)))  # block of largest class c
         new = np.zeros((offs[-1], nmax + 1), dtype=np.int64)
@@ -306,10 +313,28 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
         rank = insert.T[cls][:, rank].reshape(-1)  # the new axis is the slowest digit
         table, top = new, np.repeat(classes, upto)
     rows = np.ascontiguousarray(table.T)
-    del table, new  # the multiset table goes before the gather allocates
+    rows.setflags(write=False)
+    rank.setflags(write=False)
+    _kept_census = (d, p, rows, rank)
+    return rows, rank
+
+
+def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
+    """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
+    x = e mod p (base-p encoded).  The returned array is read-only.
+
+    It is the orbit census expanded by one gather at the row of each residue's
+    multiset; the expanded table is built afresh on each call and never kept.
+    """
+    if d < 1 or nmax < 0:
+        raise ValidationError(f"residue_census got d={d}, nmax={nmax}")
+    require_prime(p, "residue_census")
+    cells = (nmax + 1) * p**d
+    if cells > CENSUS_CELL_CAP:
+        raise ResourceLimitError(f"census table of {cells} cells exceeds cap {CENSUS_CELL_CAP}")
+    rows, rank = orbit_census(d, nmax, p)
     arr = np.take(rows, rank, axis=1)
     arr.setflags(write=False)
-    _kept_census = (d, p, arr)
     return arr
 
 
@@ -322,7 +347,8 @@ def residue_histogram(
     by p) are omitted; their count is r_d(n / p^2) when p^2 | n and 0 otherwise.
     """
     require_prime(p, "residue_histogram", odd=True)
-    row = residue_census(d, n, p)[n]
+    rows, rank = orbit_census(d, n, p)
+    row = rows[n][rank]
     out: dict[tuple[int, ...], int] = {}
     for e in np.nonzero(row)[0]:
         if exclude_pzd and e == 0:

@@ -19,10 +19,13 @@ BOX_POINT_CAP = 5 * 10**8
 # count_range: largest nmax (the convolution holds a few int64 rows of nmax + 1).
 RANGE_NMAX_CAP = 10**8
 
-# Dense test-function storage: maximum p**d entries.
+# Dense test-function storage: maximum p**d entries.  decay_study also reads
+# its census counts in blocks of at most this many.
 ENTRY_CAP = 10**7
 
-# Residue census tables: maximum (nmax + 1) * p**d int64 cells.
+# Residue census: maximum int64 cells of the kept orbit table with its rank,
+# (nmax + 1) * C(p//2 + d, d) + p**d, and separately of one expanded
+# residue_census table, (nmax + 1) * p**d.
 CENSUS_CELL_CAP = 3 * 10**8
 
 # Largest modulus accepted by the exponential-sum evaluators.

@@ -180,6 +180,15 @@ def test_equidist_command_and_parity_enforcement(capsys):
     assert "odd" in err
 
 
+def test_equidist_answers_past_the_expanded_cell_cap(capsys):
+    # the windows reach n = 32767: 5.1e8 expanded census cells, 28 orbit columns
+    code, out, _ = run_cli(
+        ["equidist", "--d", "6", "--p", "5", "--a", "1", "--kmin", "6", "--kmax", "14"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[-1].startswith("16384,32768,3277,false,")
+
+
 def test_growth_command(capsys):
     code, out, _ = run_cli(
         ["growth", "--d", "4", "--p", "3", "--nmax", "50", "--seed", "3"], capsys

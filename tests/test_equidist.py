@@ -1,6 +1,7 @@
 """Equidistribution-layer tests: empirical measures, discrepancies, Weyl
 sums, windowed decay studies, and the coefficient-growth table."""
 
+import tracemalloc
 from statistics import median
 
 import numpy as np
@@ -18,7 +19,7 @@ from quadsum.equidist import (
     weyl_sum,
 )
 from quadsum.errors import EmptyMeasureError, ValidationError
-from quadsum.lattice import count_range, quadric_indices, r4_jacobi
+from quadsum.lattice import count_range, orbit_census, quadric_indices, r4_jacobi, residue_histogram
 from quadsum.theta import TestFunction, constant_function, random_cusp_function, random_even_function
 
 
@@ -262,6 +263,36 @@ def test_decay_study_equals_the_per_n_reference(d, p, a, parity):
         assert (row.lo, row.hi, row.samples) == (lo, hi, len(tvs))
         assert row.under_sampled == (len(tvs) < 30)
         assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
+
+
+def test_decay_study_window_read_in_blocks_equals_the_per_n_reference():
+    # 3277 n of a 3100-point level: more than ENTRY_CAP counts, so two reads
+    (row,) = decay_study(6, 5, 1, [(16384, 32768)])
+    tvs = [tv_to_uniform(empirical_measure(6, n, 5)) for n in range(16386, 32768, 5)]
+    assert row.samples == len(tvs) == 3277
+    assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
+
+
+@pytest.mark.parametrize("kmax", [13, 15])
+def test_decay_study_peak_memory_stays_far_below_the_expanded_table(kmax):
+    # the expanded census up to n = 16383 alone would take 2 GB; the last
+    # window at kmax = 15 holds 2e7 counts, read in blocks of ENTRY_CAP
+    orbit_census(1, 0, 2)  # drop any larger kept table first
+    tracemalloc.start()
+    try:
+        decay_study(6, 5, 1, dyadic_windows(6, kmax))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5e9
+
+
+def test_level_reads_answer_past_the_expanded_cell_cap():
+    # (20000 + 1) * 7**6 = 2.4e9 expanded cells; the orbit census has 84 columns
+    r6 = int(count_range(6, 20000)[20000])
+    mu = empirical_measure(6, 20000, 7)
+    assert mu.a == 1 and mu.points_counted == r6
+    assert sum(residue_histogram(6, 20000, 7).values()) == r6
 
 
 def test_coeff_growth_scan_requires_cusp():

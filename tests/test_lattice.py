@@ -4,7 +4,7 @@ other, quadric point sets, and residue histograms."""
 import gc
 import tracemalloc
 import weakref
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from quadsum.lattice import (
     encode_residues,
     enumerate_sphere,
     enumerated_counts,
+    orbit_census,
     quadric_indices,
     quadric_modulus,
     quadric_points,
@@ -150,15 +151,19 @@ def test_residue_census_matches_enumeration():
             assert {e: int(row[e]) for e in np.nonzero(row)[0]} == hist
 
 
-def test_residue_census_keeps_only_the_latest_table():
-    first = residue_census(3, 40, 5)
+def test_orbit_census_keeps_only_the_latest_table():
+    first, rank = orbit_census(3, 40, 5)
     kept = weakref.ref(first if first.base is None else first.base)
-    again = residue_census(3, 20, 5)
+    again, again_rank = orbit_census(3, 20, 5)
     assert np.shares_memory(again, first) and np.array_equal(again, first[:21])
+    assert again_rank is rank
     del first, again
-    residue_census(2, 10, 3)
+    orbit_census(2, 10, 3)
     gc.collect()
     assert kept() is None
+    expanded = weakref.ref(residue_census(2, 10, 3))
+    gc.collect()
+    assert expanded() is None
 
 
 def test_residue_histogram_example_unit_sphere():
@@ -258,6 +263,35 @@ def test_residue_census_matches_per_residue_build(p, d, nmax):
     assert np.array_equal(census, _census_by_residue(d, nmax, p))
 
 
+@pytest.mark.parametrize("p,d,nmax", ORACLE_GRID + HIGH_DIMENSION)
+def test_orbit_census_expands_to_the_per_residue_build(p, d, nmax):
+    rows, rank = orbit_census(d, nmax, p)
+    assert rows.shape == (nmax + 1, comb(p // 2 + d, d)) and rank.shape == (p**d,)
+    assert not rows.flags.writeable and not rank.flags.writeable
+    assert np.array_equal(np.unique(rank), np.arange(rows.shape[1]))
+    assert np.array_equal(rows[:, rank], _census_by_residue(d, nmax, p))
+    assert np.array_equal(rows[:, rank], residue_census(d, nmax, p))
+
+
+def _jacobi_r8(n):
+    """r_8(n) = 16 sum over k | n of (-1)^(n+k) k^3 (Jacobi's eight-square formula)."""
+    return 16 * sum((-1) ** (n + k) * k**3 for k in range(1, n + 1) if n % k == 0)
+
+
+def test_orbit_census_d8_fits_64_bits_to_nmax_65535():
+    # the largest entry is about 7.3e12: the 64-bit check goes by the running
+    # maximum of each axis pass, not by the (2s+1)^8 points of the box
+    rows, rank = orbit_census(8, 2**16 - 1, 3)
+    sums = rows @ np.bincount(rank)
+    for n in (1, 2, 3, 4, 1000, 4096, 12345, 65535):
+        assert int(sums[n]) == _jacobi_r8(n)
+
+
+def test_orbit_census_refuses_counts_past_64_bits():
+    with pytest.raises(ResourceLimitError, match="64-bit"):
+        orbit_census(20, 10**4, 2)
+
+
 def _permuted(census, p, d, perm):
     """The census with its residue columns moved by x -> perm(x)."""
     digits = np.indices((p,) * d).reshape(d, -1)[::-1]  # digits[i] = coordinate i
@@ -278,6 +312,21 @@ def test_residue_census_is_even_and_symmetric_in_each_coordinate(p, d):
 
     assert np.array_equal(_permuted(census, p, d, negate_last), census)
     assert np.array_equal(_permuted(census, p, d, swap_first_two), census)
+
+
+@pytest.mark.parametrize("p,d", [(2, 5), (3, 4), (5, 4), (7, 3), (13, 2)])
+def test_orbit_rank_is_constant_under_sign_flips_and_coordinate_swaps(p, d):
+    rank = orbit_census(d, 0, p)[1][None, :]
+    for i in range(d):
+        def negate(x, i=i):
+            return [*x[:i], (-x[i]) % p, *x[i + 1 :]]
+
+        assert np.array_equal(_permuted(rank, p, d, negate), rank)
+    for i in range(d - 1):
+        def swap(x, i=i):
+            return [*x[:i], x[i + 1], x[i], *x[i + 2 :]]
+
+        assert np.array_equal(_permuted(rank, p, d, swap), rank)
 
 
 def test_residue_census_peak_memory_stays_near_its_table():

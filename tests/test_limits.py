@@ -13,8 +13,15 @@ from quadsum.density import (
     twisted_unit_phase_sum_check,
     unit_phase_sum_check,
 )
+from quadsum.equidist import decay_study
 from quadsum.errors import ResourceLimitError
-from quadsum.lattice import count_range, enumerated_counts, quadric_indices, residue_census
+from quadsum.lattice import (
+    count_range,
+    enumerated_counts,
+    orbit_census,
+    quadric_indices,
+    residue_census,
+)
 from quadsum.limits import PRIME_CAP
 from quadsum.theta import (
     TestFunction,
@@ -32,6 +39,8 @@ F32 = constant_function(3, 2)
 
 GUARDS = {
     "census-cells": lambda: residue_census(4, 10**7, 5),
+    "orbit-census-cells": lambda: orbit_census(4, 2 * 10**7, 5),
+    "orbit-census-rank": lambda: orbit_census(18, 0, 3),
     "range-nmax": lambda: count_range(1, 10**8 + 1),
     "box-points": lambda: enumerated_counts(8, 10**5),
     "gauss-modulus": lambda: gauss_sum(2**20 + 1, 1),
@@ -40,6 +49,7 @@ GUARDS = {
     "twisted-phase-sum-modulus": lambda: twisted_unit_phase_sum_check(3, 13, 1),
     "test-function-entries": lambda: TestFunction(3, 15, [0]),
     "quadric-entries": lambda: quadric_indices(3, 15, 0),
+    "decay-study-entries": lambda: decay_study(10, 7, 1, [(1, 2)]),
     "srw-width": lambda: srw_sum(F32, 13, 1),
     "srw-profile-cells": lambda: srw_profile(F32, 15),
     "rsum-grid": lambda: rsum_check(12, (0, 0, 0), 1),
