@@ -11,6 +11,7 @@ import pytest
 
 from quadsum.cli import fmt_complex, fmt_real, main, parse_tau
 from quadsum.errors import ValidationError
+from quadsum.lattice import count_range
 
 
 def run_cli(argv, capsys):
@@ -115,10 +116,19 @@ def test_density_and_singular_and_mainterm(capsys):
 
 
 def test_mainterm_at_high_power_of_two(capsys):
-    # the 2-adic density of n = 2^16 needs moduli up to 2^20 = the default cap
+    # the direct 2-adic sum reaches n = 2^16 at most (moduli up to 2^20 = Q_CAP);
+    # the series takes the exact 2-adic factor, which has no such limit
     code, out, _ = run_cli(["mainterm", "--d", "5", "--n", "65536"], capsys)
     assert code == 0
     assert len(out.splitlines()) == 2
+
+
+def test_mainterm_past_the_gauss_table_cap(capsys):
+    # ord_2(131072) = 17: a direct 2-adic sum would need the modulus 2^21 > Q_CAP
+    code, out, err = run_cli(["mainterm", "--d", "5", "--n", "131072"], capsys)
+    assert (code, err) == (0, "")
+    main_term = float(out.splitlines()[1].split(",")[-1])
+    assert count_range(5, 131072)[131072] / main_term == pytest.approx(1, abs=1e-3)
 
 
 def test_diffcheck_pass_and_fail_exit_codes(capsys):

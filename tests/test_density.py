@@ -4,13 +4,16 @@ series, and the growth/gap checks."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from quadsum.density import (
     _gauss_table,
+    _two_adic_delta,
     a_coeff_closed,
     a_coeff_direct,
     density_gap_check,
@@ -24,7 +27,7 @@ from quadsum.density import (
     twisted_unit_phase_sum_check,
     unit_phase_sum_check,
 )
-from quadsum.errors import ValidationError
+from quadsum.errors import ResourceLimitError, ValidationError
 from quadsum.lattice import count_range
 
 SQ3 = math.sqrt(3.0)
@@ -260,6 +263,53 @@ def test_local_density_p2_matches_exact_reference():
         rep = local_density(2, d, n)
         assert len(rep.terms) == (n & -n).bit_length() + 4  # h = 0..ord_2(n) + 4
         assert rep.delta == pytest.approx(float(_two_adic_density_exact(d, n)), abs=1e-12)
+
+
+# n <= 2000 and, for each v <= 20, two seeded n = odd * 2^v
+_rng = random.Random(12)
+TWO_ADIC_GRID = list(range(1, 2001)) + [
+    (2 * _rng.randrange(2048) + 1) << v for v in range(21) for _ in range(2)
+]
+
+
+@pytest.mark.parametrize("d", range(5, 13))
+def test_two_adic_delta_is_the_exact_density_rounded_once(d):
+    for n in TWO_ADIC_GRID:
+        assert _two_adic_delta(d, n) == float(_two_adic_density_exact(d, n)), (d, n)
+
+
+@pytest.mark.parametrize("d", range(5, 9))
+def test_two_adic_delta_is_the_direct_sum_bit_for_bit(d):
+    # local_density(2, ...) is the direct sum of A_d(2^h, n), h <= ord_2(n) + 4,
+    # so it answers only while 2^{ord_2(n) + 4} <= Q_CAP
+    for n in TWO_ADIC_GRID:
+        try:
+            direct = local_density(2, d, n).delta
+        except ResourceLimitError:
+            assert (n & -n).bit_length() - 1 > 16, n
+            continue
+        assert _two_adic_delta(d, n) == direct, (d, n)
+
+
+def test_singular_series_builds_no_gauss_table():
+    _gauss_table.cache_clear()
+    singular_series(5, 3 * 2**20)
+    assert _gauss_table.cache_info().currsize == 0
+
+
+def test_singular_series_at_high_power_of_two():
+    series = singular_series(6, 2**40)
+    assert series.factors[2] == float(_two_adic_density_exact(6, 2**40))
+    assert math.isfinite(series.value) and series.value > 0
+
+
+def test_gauss_table_units_are_the_coprime_residues():
+    moduli = [1] + [2**k for k in range(1, 19)] + [3**11, 5**8, 7**7, 2**10 * 3**5]
+    for q in moduli:
+        want = np.nonzero(np.gcd(np.arange(q), q) == 1)[0]
+        got = _gauss_table(q)[0]
+        assert got.dtype == want.dtype and np.array_equal(got, want), q
+    _gauss_table.cache_clear()  # drop the large tables built here
 
 
 def test_local_density_validation():
