@@ -101,9 +101,13 @@ def gauss_sum_prime_power(p: int, h: int, a: int) -> complex:
 # Per-modulus data: the units mod q and all S(q, a), both read-only.  The
 # bound is 64 moduli: one circle-method job list (bench/workloads.py) uses 35
 # to 39 distinct moduli, up to 2^18, so it never evicts there.  The units are
-# the residues off the multiples of the primes dividing q.
+# the residues off the multiples of the primes dividing q.  Every Gauss-table
+# path (A_d(q, n) and the unit phase sums) meets Q_CAP here, before any
+# allocation.
 @functools.lru_cache(maxsize=64)
 def _gauss_table(q: int) -> tuple[np.ndarray, np.ndarray]:
+    if q > Q_CAP:
+        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     t = np.arange(1, q + 1, dtype=np.int64)
     counts = np.bincount((t * t) % q, minlength=q).astype(np.float64)
     # S(q, a) = sum_s counts[s] e^{+2 pi i a s / q}: the conjugate of an FFT
@@ -135,8 +139,6 @@ def a_coeff_direct(d: int, q: int, n: int) -> complex:
         raise ValidationError(f"a_coeff_direct requires q >= 1, got {q}")
     if n < 0:
         raise ValidationError(f"a_coeff_direct requires n >= 0, got {n}")
-    if q > Q_CAP:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     if q == 1:
         return 1 + 0j
     coprime, svals = _gauss_table(q)
@@ -292,8 +294,8 @@ def _two_adic_delta(d: int, n: int) -> float:
 # Per-d unramified factors, column k for the k-th prime of arith.prime_table:
 # row 0 holds _odd_delta(p, d, 0, +1) and, for odd d, row 1 holds
 # _odd_delta(p, d, 0, -1); the column of p = 2 is NaN, since 2 is always
-# evaluated on its own.  A table grows by doubling, up to the kept sieve, when
-# a call needs more primes, and no entry is ever recomputed.  The bound is 4
+# evaluated on its own.  A table grows to exactly the primes a call needs,
+# never past the kept sieve, and no entry is ever recomputed.  The bound is 4
 # values of d, about 42 MB if every one reaches PRIME_CAP.
 _UNRAMIFIED_TABLES = 4
 _unramified: OrderedDict[int, np.ndarray] = OrderedDict()
@@ -365,10 +367,18 @@ def singular_series(
 
 
 def archimedean_factor(d: int, n: int) -> float:
-    """pi^{d/2} / Gamma(d/2) * n^{d/2-1}, the singular integral of the main term."""
+    """pi^{d/2} / Gamma(d/2) * n^{d/2-1}, the singular integral of the main term.
+
+    ResourceLimitError when a step leaves the range of a double."""
     if n < 1:
         raise ValidationError(f"archimedean_factor requires n >= 1, got {n}")
-    return math.pi ** (d / 2) / gamma_half_integer(d) * n ** (d / 2 - 1)
+    try:
+        value = math.pi ** (d / 2) / gamma_half_integer(d) * n ** (d / 2 - 1)
+    except OverflowError:  # a power or Gamma(d/2), before the product
+        value = math.inf
+    if math.isinf(value):
+        raise ResourceLimitError(f"archimedean factor for d={d} exceeds the double range")
+    return value
 
 
 def main_term(d: int, n: int, prime_cutoff: int = DEFAULT_PRIME_CUTOFF) -> float:
@@ -399,7 +409,8 @@ def difference_check(d: int, p: int, n: int, coeff: float | None = None) -> Diff
 
     d = 4 (n odd required): the bound is the exact constant 8 (p + p^2) n and
     both sides are computed in integer arithmetic.  d >= 5: the bound is
-    coeff * n^{d/2-1} with the coefficient supplied by the caller.
+    coeff * n^{d/2-1} with the finite coefficient supplied by the caller;
+    ResourceLimitError when that bound is past the range of a double.
     """
     if d < 4:
         raise ValidationError(f"difference_check requires d >= 4, got {d}")
@@ -414,9 +425,14 @@ def difference_check(d: int, p: int, n: int, coeff: float | None = None) -> Diff
         return DifferenceCheck(d=d, p=p, n=n, lhs=lhs, bound=float(bound), passed=lhs >= bound)
     if coeff is None:
         raise ValidationError("difference_check with d >= 5 needs an explicit coefficient")
+    if not math.isfinite(coeff):
+        raise ValidationError(f"difference_check needs a finite coefficient, got {coeff}")
     counts = count_range(d, p * p * n)
     lhs = int(counts[p * p * n] - counts[n])
+    # count_range bounds n and d, so only the product with coeff can overflow
     bound = coeff * n ** (d / 2 - 1)
+    if math.isinf(bound):
+        raise ResourceLimitError(f"difference bound coeff * n^{d / 2 - 1} exceeds the double range")
     return DifferenceCheck(d=d, p=p, n=n, lhs=lhs, bound=bound, passed=lhs >= bound)
 
 
@@ -461,8 +477,6 @@ def unit_phase_sum_check(p: int, n: int) -> PhaseSumCheck:
     split = p_adic_split(n, p)
     h = split.ord + 1
     q = p**h
-    if q > Q_CAP:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     value = complex(_unit_phases(q, n).sum())
     expected = complex(-(p**split.ord))
     return PhaseSumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
@@ -478,8 +492,6 @@ def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> PhaseSumCheck:
         raise ValidationError(f"twisted_unit_phase_sum_check requires h >= 1, got {h}")
     split = p_adic_split(n, p)
     q = p**h
-    if q > Q_CAP:
-        raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
     coprime, _ = _gauss_table(q)
     legendre = np.array([jacobi_symbol(a, p) for a in range(p)], dtype=np.float64)
     twists = legendre[coprime % p]

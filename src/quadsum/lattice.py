@@ -338,20 +338,11 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     return arr
 
 
-def residue_histogram(
-    d: int, n: int, p: int, exclude_pzd: bool = False
-) -> dict[tuple[int, ...], int]:
-    """Counts of X_d(n) points by residue class mod p.
-
-    With ``exclude_pzd`` the points lying in (pZ)^d (all coordinates divisible
-    by p) are omitted; their count is r_d(n / p^2) when p^2 | n and 0 otherwise.
-    """
+def residue_histogram(d: int, n: int, p: int) -> dict[tuple[int, ...], int]:
+    """Counts of X_d(n) points by residue class mod p, (pZ)^d included: the
+    class of the origin holds r_d(n / p^2) points when p^2 | n and 0
+    otherwise (``equidist._level_support`` is where they are excluded)."""
     require_prime(p, "residue_histogram", odd=True)
     rows, rank = orbit_census(d, n, p)
     row = rows[n][rank]
-    out: dict[tuple[int, ...], int] = {}
-    for e in np.nonzero(row)[0]:
-        if exclude_pzd and e == 0:
-            continue
-        out[decode_index(int(e), p, d)] = int(row[e])
-    return out
+    return {decode_index(int(e), p, d): int(row[e]) for e in np.nonzero(row)[0]}

@@ -34,9 +34,6 @@ Q_CAP = 2**20
 # Largest 1-d cut of a theta evaluation (each partial sum holds 2T + 1 terms).
 THETA_CUT_CAP = 2 * 10**6
 
-# srw_sum: largest tower width p**max(r, 1).
-TOWER_WIDTH_CAP = 10**6
-
 # srw_profile: largest p**d * p**r table.
 PROFILE_CELL_CAP = 5 * 10**7
 

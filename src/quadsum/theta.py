@@ -35,7 +35,7 @@ from typing import Union
 
 import numpy as np
 
-from .arith import j_prime_k, require_prime, valuation
+from .arith import j_prime_k, jacobi_symbol, require_prime, valuation
 from .density import gauss_sum
 from .errors import QuadsumError, ResourceLimitError, ValidationError
 from .lattice import encode_residues, qmod_vector, quadric_modulus, residue_census
@@ -45,7 +45,6 @@ from .limits import (
     ENTRY_CAP,
     PROFILE_CELL_CAP,
     THETA_CUT_CAP,
-    TOWER_WIDTH_CAP,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -198,6 +197,8 @@ def op_M(f: TestFunction) -> TestFunction:
 def random_even_function(p: int, d: int, seed: int) -> TestFunction:
     """Seeded uniform complex values in the unit square, even-projected."""
     _require_space(p, d)
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     v = rng.random(p**d) + 1j * rng.random(p**d)
     return even_projection(TestFunction(p, d, v))
@@ -308,8 +309,8 @@ def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = Fal
     at most eps.  The reported tail never exceeds prior(T), so one evaluation
     at T suffices.
     """
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
     y = tau_eff.imag
     if y <= 0:
         raise ValidationError(f"Im(tau) must be positive, got {tau_eff}")
@@ -488,45 +489,19 @@ def cusp_check(f: TestFunction) -> CuspCheck:
     return CuspCheck(is_cusp=True, failing_condition=None)
 
 
-def _tower_sums(p: int, r: int, w: int) -> np.ndarray:
-    """Per-coordinate inner sums over the residue tower:
-    t1[k] = sum_{u mod p^{max(r,1)-1}} e^{2 pi i (k + p u)^2 w / p^r}."""
-    rt = max(r, 1)
-    denom = p**r  # == 1 when r = 0: every phase is then trivial
-    u = np.arange(p ** (rt - 1), dtype=np.int64)
-    t1 = np.empty(p, dtype=np.complex128)
-    for k in range(p):
-        sq = ((k + p * u) ** 2) % denom
-        t1[k] = np.exp(2j * np.pi * ((sq * (w % denom)) % denom) / denom).sum()
-    return t1
-
-
 def _tower_multiplicity(p: int, d: int, r: int) -> float:
     """p^{(max(r,1)-1) d}: the lifts to (Z/p^max(r,1) Z)^d behind each residue vector."""
     return float(p ** ((max(r, 1) - 1) * d))
 
 
-def srw_sum(f: TestFunction, r: int, w: int) -> complex:
-    """S(r, w) = sum over y in (Z/p^max(r,1) Z)^d of f(y mod p) e^{2 pi i Q(y,y) w / p^r}.
-
-    Evaluated by the exact per-coordinate factorization of the defining sum
-    (Q splits as a sum of squares), so the cost is p^d + p^max(r,1) instead of
-    p^{d max(r,1)}.
-    """
-    if r < 0:
-        raise ValidationError(f"srw_sum requires r >= 0, got {r}")
-    p, d = f.p, f.d
-    if p ** max(r, 1) > TOWER_WIDTH_CAP:
-        raise ResourceLimitError(f"p**{max(r,1)} exceeds width cap {TOWER_WIDTH_CAP}")
-    t1 = _tower_sums(p, r, w)
-    t = f.values.reshape((p,) * d)
-    for _ in range(d):
-        t = t @ t1
-    return complex(t)
-
-
 def srw_profile(f: TestFunction, r: int) -> np.ndarray:
-    """S(r, w) for every w in [0, p^r) at once (w enters only through w mod p^r)."""
+    """S(r, w) = sum over y in (Z/p^max(r,1) Z)^d of f(y mod p) e^{2 pi i Q(y,y) w / p^r}
+    for every w in [0, p^r) at once (w enters only through w mod p^r).
+
+    The one evaluator of these sums: Q splits as a sum of squares, so each
+    coordinate contributes the same p x p^r table of tower sums, and the
+    cost is p^d p^r instead of p^{d max(r,1)} per w.
+    """
     if r < 0:
         raise ValidationError(f"srw_profile requires r >= 0, got {r}")
     p, d = f.p, f.d
@@ -679,10 +654,12 @@ def verify_weak_modularity(
     f: TestFunction, g, tau: complex, eps: float = DEFAULT_EPS
 ) -> TransformResidual:
     """Residual of the weight-d/2 transformation law under g in the level-p
-    group.  Even d: theta_f(g tau) = (c tau + d)^{d/2} theta_f(tau) verified as
-    complex numbers.  Odd d: only the modulus identity
-    |theta_f(g tau)| = |c tau + d|^{d/2} |theta_f(tau)| is checked (the sign
-    of the half-integral factor is not constructed here)."""
+    group, theta_f(g tau) = ((c/d) eps_d^{-1})^D (c tau + d)^{D/2} theta_f(tau)
+    in dimension D, compared as complex numbers.  Even D: the factor is
+    (c tau + d)^{D/2}.  Odd D: ``is_in_gamma`` forces d = 1 mod 4, so
+    eps_d = 1 and the factor is (c/d) (c tau + d)^{D/2}, with Shimura's
+    symbol (``arith.jacobi_symbol``) and the principal square root
+    (``half_power``).  Reference: G. Shimura, Ann. of Math. 97 (1973)."""
     if not is_in_gamma(g, f.p):
         raise ValidationError(f"matrix is not in the level-{f.p} group")
     if not f.is_even:
@@ -696,9 +673,6 @@ def verify_weak_modularity(
     g_tau = (a * tau + b) / cz
     lhs = theta_eval(f, g_tau, eps)
     base = theta_eval(f, tau, eps)
-    if f.d % 2 == 0:
-        rhs = cz ** (f.d // 2) * base
-        return _residual(f"weak-modularity c={c}", lhs, rhs)
-    lhs_m = abs(lhs)
-    rhs_m = abs(cz) ** (f.d / 2) * abs(base)
-    return _residual(f"weak-modularity-modulus c={c}", complex(lhs_m), complex(rhs_m))
+    # even D keeps the integer power: half_power would move some factors by an ulp
+    factor = cz ** (f.d // 2) if f.d % 2 == 0 else jacobi_symbol(c, d) * half_power(cz, f.d)
+    return _residual(f"weak-modularity c={c}", lhs, factor * base)

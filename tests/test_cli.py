@@ -274,6 +274,47 @@ def test_prime_cap_and_entry_cap_exit_two(capsys):
     assert "entry cap" in err
 
 
+# command lines that once printed a traceback (or, for a non-finite --eps, a
+# misleading exit 2 or 3), with the exit code they must give instead
+BAD_NUMBERS = {
+    "growth --d 5 --p 3 --nmax 10 --seed -1": 1,
+    "theta-coeffs --p 3 --d 2 --nmax 5 --seed -1": 1,
+    "cusp-check --p 3 --d 2 --seed -1": 1,
+    "srw --p 3 --d 2 --seed -1": 1,
+    "theta-verify --p 3 --d 2 --tau 0+1i --seed -1": 1,
+    "theta-verify --p 3 --d 2 --tau 0+1i --eps nan": 1,
+    "theta-verify --p 3 --d 2 --tau 0+1i --eps inf": 1,
+    "diffcheck --d 5 --p 3 --n 2 --coeff nan": 1,
+    "diffcheck --d 5 --p 3 --n 2 --coeff inf": 1,
+    "diffcheck --d 5 --p 3 --n 2 --coeff 1e308": 2,
+    f"mainterm --d 5 --n {10**300}": 2,
+    "mainterm --d 2000 --n 7": 2,
+}
+
+
+@pytest.mark.parametrize("command", BAD_NUMBERS, ids=lambda c: c[:60])
+def test_bad_numbers_exit_without_traceback(command, capsys):
+    code, out, err = run_cli(shlex.split(command), capsys)
+    assert (code, out) == (BAD_NUMBERS[command], "")
+    assert err.startswith("quadsum:")
+
+
+def test_singular_answers_at_a_huge_n(capsys):
+    # the archimedean factor overflows at this n, the series does not
+    code, out, err = run_cli(["singular", "--d", "9", "--n", str(10**300)], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 2
+
+
+def test_theta_verify_odd_d_checks_the_full_law(capsys):
+    code, out, _ = run_cli(["theta-verify", "--p", "3", "--d", "3", "--tau", "0+1i"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows if row[0] == "weak-modularity"] == [
+        "weak-modularity c=0", "weak-modularity c=36"]
+    assert all(row[-1] == "true" for row in rows)
+
+
 # stdout of the series commands, captured before the Euler product was read
 # from per-d tables of unramified factors; it must not change by one byte
 SERIES_GOLDEN = {

@@ -31,7 +31,6 @@ from quadsum.theta import (
     random_even_function,
     rsum_check,
     srw_profile,
-    srw_sum,
     tsum_check,
 )
 
@@ -50,7 +49,6 @@ GUARDS = {
     "test-function-entries": lambda: TestFunction(3, 15, [0]),
     "quadric-entries": lambda: quadric_indices(3, 15, 0),
     "decay-study-entries": lambda: decay_study(10, 7, 1, [(1, 2)]),
-    "srw-width": lambda: srw_sum(F32, 13, 1),
     "srw-profile-cells": lambda: srw_profile(F32, 15),
     "rsum-grid": lambda: rsum_check(12, (0, 0, 0), 1),
     "tsum-grid": lambda: tsum_check(3, 6, (0, 0, 0, 0), 1),

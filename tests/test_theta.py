@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from quadsum.arith import jacobi_symbol
 from quadsum.errors import ResourceLimitError, ValidationError
 from quadsum.lattice import count_range, quadric_indices
 from quadsum.theta import (
@@ -30,7 +31,6 @@ from quadsum.theta import (
     random_even_function,
     rsum_check,
     srw_profile,
-    srw_sum,
     srw_vanishing,
     theta_coeffs,
     theta_eval,
@@ -414,13 +414,15 @@ def test_cusp_check_p2_corner_conditions():
 
 
 def test_srw_sum_matches_literal():
+    # w outside [0, p^r) reads the profile at w mod p^r
     for (p, d) in [(3, 2), (2, 2), (5, 1), (3, 3)]:
         f = random_even_function(p, d, p + d)
         for r in (0, 1, 2, 3):
             if p ** max(r, 1) ** 1 > 200:
                 continue
+            prof = srw_profile(f, r)
             for w in (0, 1, 2, p):
-                assert srw_sum(f, r, w) == pytest.approx(_literal_srw(f, r, w), abs=1e-8)
+                assert prof[w % p**r] == pytest.approx(_literal_srw(f, r, w), abs=1e-8)
 
 
 def test_srw_profile_matches_pointwise():
@@ -428,7 +430,7 @@ def test_srw_profile_matches_pointwise():
     for r in (0, 1, 2, 3):
         prof = srw_profile(f, r)
         for w in range(len(prof)):
-            assert prof[w] == pytest.approx(srw_sum(f, r, w), abs=1e-8)
+            assert prof[w] == pytest.approx(_literal_srw(f, r, w), abs=1e-8)
 
 
 def test_srw_level_sum_identity():
@@ -436,13 +438,14 @@ def test_srw_level_sum_identity():
     p, d = 5, 2
     f = random_even_function(p, d, 3)
     level = [complex(f.values[quadric_indices(p, d, a)].sum()) for a in range(p)]
+    prof = srw_profile(f, 1)
     for w in range(p):
         expected = sum(level[a] * cmath.exp(2j * cmath.pi * a * w / p) for a in range(p))
-        assert srw_sum(f, 1, w) == pytest.approx(expected, abs=1e-10)
+        assert prof[w] == pytest.approx(expected, abs=1e-10)
 
 
 def test_srw_constant_example():
-    assert srw_sum(constant_function(3, 1), 1, 0) == pytest.approx(3.0)
+    assert srw_profile(constant_function(3, 1), 1)[0] == pytest.approx(3.0)
 
 
 def test_srw_cusp_vanishing():
@@ -555,10 +558,41 @@ def test_weak_modularity_inversion_type_even_d():
     assert res.residual < 1e-6
 
 
-def test_weak_modularity_modulus_identity_odd_d():
+def test_weak_modularity_full_law_odd_d():
     f = random_even_function(3, 3, 12)
     res = verify_weak_modularity(f, ((1, 0), (36, 1)), 1j, eps=1e-10)
+    assert res.label == "weak-modularity c=36"
+    assert res.rhs == jacobi_symbol(36, 1) * half_power(36j + 1, 3) * theta_eval(f, 1j, eps=1e-10)
     assert res.residual < 1e-6
+
+
+def _symbol_minus_one_elements(p: int) -> list:
+    """Members of the level-p group, both signs of c and d, with (c/d) = -1."""
+    level, step = (16, 4) if p == 2 else (4 * p * p, 4 * p)
+    out = []
+    for c in (level, -level, 2 * level, -2 * level, -3 * level):
+        for d in (1 + step, 1 + 2 * step, 1 + 3 * step, 1 - 5 * step, 1 - 7 * step):
+            if math.gcd(c, d) == 1 and jacobi_symbol(c, d) == -1:
+                a = pow(d, -1, abs(c))
+                out.append(((a, (a * d - 1) // c), (c, d)))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_weak_modularity_quadratic_symbol(p, d):
+    # the (c/d) factor flips the sign at odd d; a modulus check cannot see it
+    f = random_even_function(p, d, 1)
+    elements = _symbol_minus_one_elements(p)
+    assert len(elements) >= 3
+    for g in elements:
+        assert is_in_gamma(g, p)
+        c, dd = g[1]
+        for tau in (1j, complex(-dd / c, 1 / abs(c)), 0.3 + 0.5j):
+            res = verify_weak_modularity(f, g, tau, eps=1e-12)
+            assert res.residual < 1e-9
+            unsigned = abs(res.lhs + res.rhs) / max(1.0, abs(res.rhs))
+            assert unsigned > 1e-3
 
 
 def test_weak_modularity_p2():
