@@ -15,13 +15,17 @@ p not dividing 2n, delta_{p,d}(n) depends on n only through chi = (-n/p), and
 not at all for even d, so it is read from a per-d table of these unramified
 factors, kept at chi = +1 and (odd d) chi = -1 for the primes of the kept
 sieve that calls have needed so far.  Only p = 2 and the primes dividing n,
-found by one capped factorization, are evaluated on their own.  The table
-entries are the closed form's own floats and the product is taken in
-ascending prime order, so the value is the same double as a per-prime
-evaluation of the same factors gives.  All transcendental work is double
-precision.  Direct sums of <= 10**4 roots of unity meet every closed-form
-tolerance easily: ``CHECK_TOL`` = 1e-9 absolute here, ``cli.ACOEFF_TOL`` =
-1e-8 absolute and ``cli.GAUSS_TOL`` = 1e-9 relative.
+found by one capped factorization, are evaluated on their own.  The closed
+form ``_odd_delta`` takes a Python int p or an int64 array of primes, so a
+table grows by one array pass per row, and its entries are the closed
+form's own doubles: the same operations in the same order as a call at one
+prime.  The product is taken in ascending prime order, so the value is the
+same double as a per-prime evaluation of the same factors gives.
+
+All transcendental work is double precision.  Direct sums of <= 10**4 roots
+of unity meet every closed-form tolerance easily: ``CHECK_TOL`` = 1e-9
+absolute here, ``cli.ACOEFF_TOL`` = 1e-8 absolute and ``cli.GAUSS_TOL`` =
+1e-9 relative.
 """
 
 from __future__ import annotations
@@ -194,12 +198,21 @@ class DensityReport:
     method: str  # "closed-form" or "brute-force"
 
 
-def _odd_constants(p: int, d: int) -> dict[str, float]:
+def _unit_sign(p: int | np.ndarray, k: int) -> int | np.ndarray:
+    """epsilon_power(p, k).real for even k, as the integer +1 or -1: it is -1
+    exactly when p = 3 mod 4 and k = 2 mod 4.  p is a Python int or an int64
+    array of odd primes."""
+    return 1 - 2 * ((p % 4 == 3) & (k % 4 == 2))
+
+
+def _odd_constants(p: int | np.ndarray, d: int) -> dict:
+    # every exponent is a float: a Python int p raises to it as float(p), the
+    # same double power an int64 array of p takes elementwise
     if d % 2 == 0:
-        e = epsilon_power(p, d).real
+        e = _unit_sign(p, d)
         c = (1 - e * p ** (-d / 2)) / (1 - e * p ** (1 - d / 2))
         return {"C": c}
-    f_const = (1 - p ** (1 - d)) / (1 - p ** (2 - d))
+    f_const = (1 - p ** (1.0 - d)) / (1 - p ** (2.0 - d))
     # coefficient of p^{(1-d/2) ord} in the odd-valuation branch; pinned by
     # equality with the finite term sum, which collapses the whole branch to
     # F (1 - p^{(2-d)(ord+1)/2})
@@ -207,21 +220,22 @@ def _odd_constants(p: int, d: int) -> dict[str, float]:
     return {"E": e_const, "F": f_const}
 
 
-def _odd_delta(p: int, d: int, o: int, chi: int) -> float:
+def _odd_delta(p: int | np.ndarray, d: int, o: int, chi: int) -> float | np.ndarray:
     """delta_{p,d}(n) for an odd prime p, o = ord_p(n) and chi = (-unit/p),
     unit = n / p**o; chi is read only for odd d and even o.  Trusts its
-    inputs (p a Python int, not a numpy scalar)."""
+    inputs.  p is a Python int, giving a float, or an int64 array of primes,
+    giving the float64 array of the same doubles elementwise: both run the
+    same operations in the same order."""
     consts = _odd_constants(p, d)
     if d % 2 == 0:
-        e = epsilon_power(p, d).real
-        base = e * p ** (1 - d / 2)
-        return float(consts["C"] * (1 - base ** (o + 1)))
+        base = _unit_sign(p, d) * p ** (1 - d / 2)
+        return consts["C"] * (1 - base ** (o + 1))
     if o % 2 == 1:
-        return float(p ** ((1 - d / 2) * o) * consts["E"] + consts["F"])
-    g_const = p ** (1 - d) * (1 - p) / (1 - p ** (2 - d)) + p ** (
+        return p ** ((1 - d / 2) * o) * consts["E"] + consts["F"]
+    g_const = p ** (1.0 - d) * (1 - p) / (1 - p ** (2.0 - d)) + p ** (
         (1 - d) / 2
-    ) * epsilon_power(p, d + 1).real * chi
-    return float(p ** ((1 - d / 2) * o) * g_const + consts["F"])
+    ) * _unit_sign(p, d + 1) * chi
+    return p ** ((1 - d / 2) * o) * g_const + consts["F"]
 
 
 def local_density(p: int, d: int, n: int) -> DensityReport:
@@ -294,9 +308,11 @@ def _two_adic_delta(d: int, n: int) -> float:
 # Per-d unramified factors, column k for the k-th prime of arith.prime_table:
 # row 0 holds _odd_delta(p, d, 0, +1) and, for odd d, row 1 holds
 # _odd_delta(p, d, 0, -1); the column of p = 2 is NaN, since 2 is always
-# evaluated on its own.  A table grows to exactly the primes a call needs,
-# never past the kept sieve, and no entry is ever recomputed.  The bound is 4
-# values of d, about 42 MB if every one reaches PRIME_CAP.
+# evaluated on its own.  New columns are built in one pass per row, by
+# _odd_delta over the int64 array of the new primes, so each entry is the
+# closed form's own double.  A table grows to exactly the primes a call
+# needs, never past the kept sieve, and no entry is ever recomputed.  The
+# bound is 4 values of d, about 42 MB if every one reaches PRIME_CAP.
 _UNRAMIFIED_TABLES = 4
 _unramified: OrderedDict[int, np.ndarray] = OrderedDict()
 
@@ -308,10 +324,10 @@ def _unramified_table(d: int, primes: np.ndarray, count: int) -> np.ndarray:
         table = np.empty((1 if d % 2 == 0 else 2, 0))
     have = table.shape[1]
     if have < count:
-        fresh = primes[have:count].tolist()
-        rows = [[math.nan if p == 2 else _odd_delta(p, d, 0, chi) for p in fresh]
-                for chi in (1, -1)[: table.shape[0]]]
-        table = np.concatenate([table, np.array(rows, dtype=np.float64)], axis=1)
+        fresh = primes[have:count]
+        rows = np.array([_odd_delta(fresh, d, 0, chi) for chi in (1, -1)[: table.shape[0]]])
+        rows[:, fresh == 2] = math.nan
+        table = np.concatenate([table, rows], axis=1)
         table.setflags(write=False)
     _unramified[d] = table
     if len(_unramified) > _UNRAMIFIED_TABLES:

@@ -300,25 +300,18 @@ def _eval_at_cut(f: TestFunction, tau_eff: complex, cut: int, dual: bool) -> The
     return ThetaValue(value=complex(t), tail=tail, radius=cut)
 
 
-def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = False) -> ThetaValue:
-    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps.
+def _theta_cut(m: float, d: int, spread: int, y: float, eps: float) -> int:
+    """The smallest cut T in [0, THETA_CUT_CAP] whose a priori bound
+    prior(T) = ``_product_tail``(m, d, spread gauss_tail(y, T), a) is at most
+    eps, with a = spread (1 + 1/sqrt(2 y)) bounding the summed modulus;
+    ResourceLimitError when THETA_CUT_CAP falls short.
 
-    The cut T is the smallest one whose a priori bound prior(T), the product
-    tail with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau)
-    (times p for the transform) in place of the computed summed modulus, is
-    at most eps.  The reported tail never exceeds prior(T), so one evaluation
-    at T suffices.
+    The search starts where the leading Gaussian term of prior(T),
+    2 m d spread a^{d-1} e^{-2 pi y (T+1)^2}, meets eps.  It then steps up or
+    down to a bracket that bisection closes.  The steps double, since plain
+    unit steps from that start take up to 5e5 of them at Im(tau) near 1e-12.
+    prior decreases in T, so any bracketing order finds the same T.
     """
-    if not 0 < eps < math.inf:
-        raise ValidationError(f"eps must be positive and finite, got {eps}")
-    y = tau_eff.imag
-    if y <= 0:
-        raise ValidationError(f"Im(tau) must be positive, got {tau_eff}")
-    m = f.max_abs
-    if m == 0.0:
-        return ThetaValue(0j, 0.0, 0)
-    d = f.d
-    spread = f.p if dual else 1
     a_bound = spread * (1.0 + 1.0 / math.sqrt(2.0 * y))
 
     def prior(cut: int) -> float:
@@ -327,13 +320,43 @@ def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = Fal
     # the 1-d test keeps the power in prior() finite at every cut it is asked for
     if not (_gauss_tail(y, THETA_CUT_CAP) < 1.0 and prior(THETA_CUT_CAP) <= eps):
         raise ResourceLimitError(f"theta truncation needs a cut above {THETA_CUT_CAP} at Im(tau) = {y}")
-    lo, cut = -1, THETA_CUT_CAP  # prior(cut) <= eps < prior(lo); prior decreases in the cut
+    log_ratio = math.log(2.0 * d * spread) + math.log(m) - math.log(eps) + (d - 1) * math.log(a_bound)
+    reach = math.sqrt(max(log_ratio, 0.0) / (TWO_PI * y))
+    cut = max(0, math.ceil(min(reach, THETA_CUT_CAP)) - 1)
+    lo, step = cut - 1, 1
+    while prior(cut) > eps:
+        lo, cut = cut, min(cut + step, THETA_CUT_CAP)
+        step *= 2
+    while lo >= 0 and prior(lo) <= eps:
+        lo, cut = max(lo - step, -1), lo
+        step *= 2
+    # prior(cut) <= eps < prior(lo), with prior(-1) read as infinite
     while cut - lo > 1:
         mid = (lo + cut) // 2
         if prior(mid) <= eps:
             cut = mid
         else:
             lo = mid
+    return cut
+
+
+def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = False) -> ThetaValue:
+    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps.
+
+    The cut T is the smallest one whose a priori bound prior(T), the product
+    tail with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau)
+    (times p for the transform) in place of the computed summed modulus, is
+    at most eps (``_theta_cut``).  The reported tail never exceeds prior(T),
+    so one evaluation at T suffices.
+    """
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
+    y = tau_eff.imag
+    if y <= 0:
+        raise ValidationError(f"Im(tau) must be positive, got {tau_eff}")
+    if f.max_abs == 0.0:
+        return ThetaValue(0j, 0.0, 0)
+    cut = _theta_cut(f.max_abs, f.d, f.p if dual else 1, y, eps)
     res = _eval_at_cut(f, tau_eff, cut, dual)
     if not res.tail <= eps * (abs(res.value) + 1.0):
         raise QuadsumError(f"theta tail {res.tail} above eps (|value| + 1) at cut {cut}")
@@ -366,11 +389,26 @@ def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = 
         return _series_eval(f, tau, eps, dual=True)
     if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= f.p - 1:
         raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
-    return _series_eval(f, (tau - int(j)) / f.p**2, eps)
+    scaled = (tau - int(j)) / f.p**2
+    if tau.imag > 0:  # else _series_eval refuses the tau itself, as a usage error
+        _image_point(f"(tau - {j})/{f.p}^2", scaled)
+    return _series_eval(f, scaled, eps)
 
 
 def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:
     return theta_j_eval_full(f, j, tau, eps).value
+
+
+def _image_point(label: str, point: complex) -> complex:
+    """``point``, an image of a tau with Im(tau) > 0, once its imaginary part
+    is checked.  In double precision that part can underflow to 0, as for
+    -1/(4 tau) at a tau of huge real part: a limit of the arithmetic, not a
+    bad input, hence ResourceLimitError and not ValidationError."""
+    if not point.imag > 0:
+        raise ResourceLimitError(
+            f"the image point {label} = {point} has no positive imaginary part in double precision"
+        )
+    return point
 
 
 def half_power(z: complex, d: int) -> complex:
@@ -397,7 +435,8 @@ def verify_poisson(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> T
     theta_f^inf(tau) = (i/2tau)^{d/2} theta_f^0(-1/(4 tau))."""
     tau = complex(tau)
     lhs = theta_j_eval(f, INF, tau, eps)
-    rhs = half_power(1j / (2 * tau), f.d) * theta_j_eval(f, 0, -1 / (4 * tau), eps)
+    tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
+    rhs = half_power(1j / (2 * tau), f.d) * theta_j_eval(f, 0, tau_inv, eps)
     return _residual("poisson", lhs, rhs)
 
 
@@ -431,7 +470,7 @@ def verify_generator_actions(
         )
     )
     w = half_power(1j / (2 * tau), d)
-    tau_inv = -1 / (4 * tau)
+    tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
     for j in range(1, p):
         jp, kj = j_prime_k(j, p)
         g = op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p)
@@ -670,7 +709,7 @@ def verify_weak_modularity(
     (a, b), (c, d) = g
     a, b, c, d = int(a), int(b), int(c), int(d)
     cz = c * tau + d
-    g_tau = (a * tau + b) / cz
+    g_tau = _image_point("g tau", (a * tau + b) / cz)
     lhs = theta_eval(f, g_tau, eps)
     base = theta_eval(f, tau, eps)
     # even D keeps the integer power: half_power would move some factors by an ulp

@@ -299,6 +299,18 @@ def test_bad_numbers_exit_without_traceback(command, capsys):
     assert err.startswith("quadsum:")
 
 
+def test_underflowing_image_point_exits_two(capsys):
+    # Im(-1/(4 tau)) underflows to 0 at this tau, which is itself valid
+    code, out, err = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau", "1e300+1i"], capsys)
+    assert (code, out) == (2, "")
+    assert "-1/(4 tau)" in err
+    # a tau the user gives off the upper half plane is still a usage error
+    for tau in ("1e300+0i", "1e300-1i", "0-1i"):
+        code, out, err = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau", tau], capsys)
+        assert (code, out) == (1, ""), tau
+        assert "upper half plane" in err
+
+
 def test_singular_answers_at_a_huge_n(capsys):
     # the archimedean factor overflows at this n, the series does not
     code, out, err = run_cli(["singular", "--d", "9", "--n", str(10**300)], capsys)
@@ -334,6 +346,22 @@ def test_series_output_is_byte_identical(command, capsys):
     code, out, err = run_cli(command.split(), capsys)
     assert (code, err) == (0, "")
     assert out == SERIES_GOLDEN[command]
+
+
+# stdout of the series commands at a large prime n, captured before the
+# tables of unramified factors were grown by one array pass per row
+LARGE_SERIES_GOLDEN = {
+    "singular --d 5 --n 1000003": "d,n,prime_cutoff,value\n5,1000003,101,1.3771576395489524e0\n",
+    "mainterm --d 5 --n 9999991": "d,n,prime_cutoff,singular,main_term\n"
+                                  "5,9999991,101,1.5029220593773327e0,6.2542372896532922e11\n",
+}
+
+
+@pytest.mark.parametrize("command", LARGE_SERIES_GOLDEN)
+def test_series_output_at_a_large_prime_is_byte_identical(command, capsys):
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert out == LARGE_SERIES_GOLDEN[command]
 
 
 # sha256 of the stdout of the census-backed commands, captured before the

@@ -2,10 +2,13 @@
 be the very doubles of the per-prime Euler product: every factor equal to
 its local density, and the value equal to their sequential product."""
 
+from collections import OrderedDict
+
+import numpy as np
 import pytest
 
 from quadsum import density
-from quadsum.arith import largest_prime_factor, primes_upto
+from quadsum.arith import largest_prime_factor, prime_table, primes_upto
 from quadsum.density import local_density, main_term, singular_series
 
 CUTOFFS = (50, 101)
@@ -62,6 +65,39 @@ def test_tables_extended_and_evicted_between_dimensions():
         for cutoff in CUTOFFS:
             _assert_matches_oracle(d, n, cutoff)
         assert len(density._unramified) <= density._UNRAMIFIED_TABLES
+
+
+@pytest.mark.parametrize("d", range(5, 13))
+def test_table_rows_are_the_scalar_closed_form_bit_for_bit(d, monkeypatch):
+    # one array pass per row gives the very doubles of one call per prime
+    monkeypatch.setattr(density, "_unramified", OrderedDict())
+    bound = 2 * 10**5
+    table = prime_table(bound)
+    count = int(np.searchsorted(table, bound, side="right"))
+    rows = density._unramified_table(d, table, count)
+    assert rows.shape == (1 if d % 2 == 0 else 2, count)
+    assert np.isnan(rows[:, 0]).all()  # p = 2 is never read from the table
+    odd = table[1:count].tolist()
+    for row, chi in zip(rows, (1, -1)):
+        want = np.array([density._odd_delta(p, d, 0, chi) for p in odd])
+        np.testing.assert_array_equal(row[1:].view(np.int64), want.view(np.int64))
+    if d % 2 == 0:  # chi is not read at even d
+        want = np.array([density._odd_delta(p, d, 0, -1) for p in odd])
+        np.testing.assert_array_equal(rows[0, 1:].view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("d", (5, 6))
+def test_table_grown_in_uneven_steps_equals_one_pass(d, monkeypatch):
+    table = prime_table(10**5)
+    monkeypatch.setattr(density, "_unramified", OrderedDict())
+    whole = density._unramified_table(d, table, 9000)
+    monkeypatch.setattr(density, "_unramified", OrderedDict())
+    longest = 0
+    for count in (1, 2, 3, 10, 11, 500, 4999, 5000, 700, 8999, 9000):
+        grown = density._unramified_table(d, table, count)
+        longest = max(longest, count)
+        assert grown.shape[1] == longest  # grown to the count, never shrunk
+    np.testing.assert_array_equal(grown.view(np.int64), whole.view(np.int64))
 
 
 def test_main_term_is_archimedean_factor_times_series():

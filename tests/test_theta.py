@@ -5,6 +5,7 @@ cusp criterion with its exponential-sum cross-checks, and weak modularity."""
 import cmath
 import hashlib
 import math
+import random
 from dataclasses import replace
 from itertools import product
 
@@ -42,7 +43,8 @@ from quadsum.theta import (
     verify_poisson,
     verify_weak_modularity,
 )
-from quadsum.theta import _eval_at_cut
+from quadsum.limits import THETA_CUT_CAP
+from quadsum.theta import _eval_at_cut, _gauss_tail, _product_tail, _theta_cut
 
 
 def _literal_fourier(f: TestFunction) -> np.ndarray:
@@ -301,6 +303,40 @@ def test_theta_tail_never_exceeds_eps(p, d, tau, eps):
         assert v.radius > 0
 
 
+def _bisected_cut(m, d, spread, y, eps):
+    """The smallest cut whose a priori bound is <= eps, by bisection over
+    [0, THETA_CUT_CAP]; the reference of the closed-form start."""
+    a_bound = spread * (1.0 + 1.0 / math.sqrt(2.0 * y))
+    lo, cut = -1, THETA_CUT_CAP
+    while cut - lo > 1:
+        mid = (lo + cut) // 2
+        if _product_tail(m, d, spread * _gauss_tail(y, mid), a_bound) <= eps:
+            cut = mid
+        else:
+            lo = mid
+    return cut
+
+
+def test_theta_cut_matches_bisection_on_a_seeded_grid():
+    rng = random.Random(20261018)
+    refused = 0
+    for _ in range(3000):
+        m = 10 ** rng.uniform(-8, 8)
+        d = rng.randint(1, 12)
+        spread = rng.choice((1, 3, 5, 7, 11, 13))
+        y = 10 ** rng.uniform(-13, 1.5)
+        eps = 10 ** rng.uniform(-16, 0)
+        a_bound = spread * (1.0 + 1.0 / math.sqrt(2.0 * y))
+        at_cap = _product_tail(m, d, spread * _gauss_tail(y, THETA_CUT_CAP), a_bound)
+        if not (_gauss_tail(y, THETA_CUT_CAP) < 1.0 and at_cap <= eps):
+            refused += 1
+            with pytest.raises(ResourceLimitError):
+                _theta_cut(m, d, spread, y, eps)
+            continue
+        assert _theta_cut(m, d, spread, y, eps) == _bisected_cut(m, d, spread, y, eps), (m, d, spread, y, eps)
+    assert 0 < refused < 1000  # the grid reaches past the cap, but mostly not
+
+
 def test_theta_cut_cap_fails_fast():
     with pytest.raises(ResourceLimitError):
         theta_eval(constant_function(3, 1), 1e-15j)
@@ -312,6 +348,24 @@ def test_theta_eval_rejects_lower_half_plane():
         theta_eval(f, 1.0 - 0.2j)
     with pytest.raises(ValidationError):
         theta_eval(f, 1j, eps=-1.0)
+
+
+def test_underflowing_image_points_are_resource_limits():
+    # each tau below is valid; the point the identity evaluates at is not a
+    # double of the upper half plane
+    f = random_even_function(3, 2, 1)
+    with pytest.raises(ResourceLimitError, match=r"-1/\(4 tau\)"):
+        verify_poisson(f, 1e300 + 1j)
+    with pytest.raises(ResourceLimitError, match="g tau"):
+        verify_weak_modularity(f, ((1, 0), (36, 1)), 1e306 + 1j)
+    with pytest.raises(ResourceLimitError, match=r"\(tau - 0\)/3\^2"):
+        theta_j_eval(f, 0, 1e-323j)
+    # a tau off the upper half plane is still refused as given
+    for tau in (1e300 - 1j, -1j):
+        with pytest.raises(ValidationError):
+            verify_poisson(f, tau)
+        with pytest.raises(ValidationError):
+            theta_j_eval(f, 0, tau)
 
 
 def test_theta_j_change_of_variable():
