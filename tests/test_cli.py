@@ -405,6 +405,20 @@ PHASE_SUM_GOLDEN = {
         "ad585526ca1a473d0b988d58a0085ec131edeca813be5d8fff2124a32a897e5a",
     "theta-verify --p 5 --d 4 --tau 0.3+0.2i --seed 3 --format json":
         "025ac02580f7f18212aa9cebef2597ec323e362b0f9b9a4742c7b017e9c7d99c",
+    "theta-verify --p 7 --d 2 --tau 0.2+0.7i --seed 5":
+        "6841f3979754aa27f9f16048ef91a4a4c3100fd17842f3e7f0614456faee0fb8",
+    "theta-verify --p 11 --d 2 --tau 0+1i --seed 1":
+        "80d64f3d333486338ba943fe0b4ae9f3febc26fa3a849595d7b75eb275fd673e",
+    "theta-verify --p 13 --d 2 --tau 0.4+0.9i --seed 2":
+        "9b6f926f9283cc9370e7572711798e34cf84bf43c1a3084f3ab9a400637d7bbb",
+    "theta-verify --p 3 --d 3 --tau 0.1+0.6i --seed 4":
+        "1d5858e8234112f51f86e06eb22a08fa5115e9a7093bc64553878e5cf44c28c3",
+    "theta-verify --p 5 --d 5 --tau 0+1i --seed 6":
+        "f99b51b39837f731d76e5af8c7f7c242e2da56f64c892d988fbafd6f31f20b12",
+    "theta-verify --p 3 --d 4 --tau 0.01+0.05i --seed 8":
+        "23094fae20518c215c62d2ccc7ef004ac2fcb1968aa36917392eab0af6393e13",
+    "theta-verify --p 7 --d 3 --tau 0.3+0.5i --seed 9 --format json":
+        "d850777bd5ee3367c368d05847d3b7d7a93212b9b5b92668c1b0a9be08ed5369",
 }
 
 

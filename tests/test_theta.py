@@ -3,16 +3,19 @@ truncated evaluations against hand sums, the transformation identities, the
 cusp criterion with its exponential-sum cross-checks, and weak modularity."""
 
 import cmath
+import gc
 import hashlib
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
-from quadsum.arith import jacobi_symbol
+from quadsum import theta
+from quadsum.arith import j_prime_k, jacobi_symbol
 from quadsum.errors import ResourceLimitError, ValidationError
 from quadsum.lattice import count_range, quadric_indices
 from quadsum.theta import (
@@ -717,3 +720,130 @@ def test_srw_vanishing_rejects_negative_rmax():
         srw_vanishing(constant_function(3, 2), -1)
     with pytest.raises(ValidationError):
         srw_vanishing(random_cusp_function(3, 2, 1), -1)
+
+
+# --- shared partial sums of one verification call ------------------------------
+
+
+def _single_row(p, tau, cut):
+    """The partial sums of one tau, computed alone: the reference the batched
+    rows must match bit for bit."""
+    s = np.arange(1, cut + 1, dtype=np.int64)
+    t = np.concatenate(([0], np.stack([s, -s], axis=1).ravel()))
+    terms = np.exp(2j * np.pi * tau * (t * t))
+    res = t % p
+    return np.bincount(res, terms.real, minlength=p) + 1j * np.bincount(res, terms.imag, minlength=p)
+
+
+def test_batched_partial_sum_rows_equal_single_rows():
+    # the larger cuts split their rows over several exponential passes
+    rng = random.Random(15015)
+    for _ in range(60):
+        p = rng.choice((3, 5, 7, 11, 13))
+        cut = rng.choice((0, 1, rng.randint(2, 80), rng.randint(2000, 5000), 40000))
+        taus = [complex(rng.choice((0.0, rng.uniform(-5, 5), 10 ** rng.uniform(0, 12))), 10 ** rng.uniform(-6, 1))
+                for _ in range(rng.randint(1, 25))]
+        rows = theta._partial_theta_rows(p, taus, cut)
+        assert rows.shape == (len(taus), p)
+        for tau, row in zip(taus, rows):
+            assert np.array_equal(row.view(np.int64), _single_row(p, tau, cut).view(np.int64)), (p, tau, cut)
+
+
+def _row_bits(rows):
+    values = [[r.lhs.real, r.lhs.imag, r.rhs.real, r.rhs.imag, r.residual] for r in rows]
+    return np.array(values).tobytes() + "|".join(r.label for r in rows).encode()
+
+
+def test_verification_rows_are_bit_identical_on_a_seeded_grid():
+    # the sha256 of every double of these rows, recorded before the values of
+    # one call were evaluated as one batch
+    h = hashlib.sha256()
+    rng = random.Random(15001)
+    for p, d in ((3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)):
+        for _ in range(2):
+            f = random_even_function(p, d, rng.randrange(2**31))
+            tau = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
+            h.update(_row_bits([verify_poisson(f, tau)]))
+            h.update(_row_bits(verify_generator_actions(f, tau)))
+            h.update(_row_bits([verify_weak_modularity(f, g, tau) for g in (((1, 1), (0, 1)), ((1, 0), (4 * p * p, 1)))]))
+    assert h.hexdigest() == "285020fea706b511ce3694cc6c2cd4e36dc82142a0884fc518d37e7121afa116"
+
+
+def _table_evaluations(f, tau):
+    """Every (function, component, point) the generator table and the
+    summation formula evaluate, one entry per evaluation."""
+    p = f.p
+    tau_inv = -1 / (4 * tau)
+    evals = [(f, INF, tau), (f, 0, tau_inv)]
+    for j in range(p - 1):
+        evals += [(f, j, tau - 1), (f, j + 1, tau)]
+    evals += [(f, p - 1, tau - 1), (op_L(f), 0, tau), (f, INF, tau - 1), (f, INF, tau)]
+    for j in range(1, p):
+        jp, kj = j_prime_k(j, p)
+        evals += [(f, j, tau), (op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p), jp, tau_inv)]
+    return evals + [(f, INF, tau_inv), (f, 0, tau)]
+
+
+@pytest.mark.parametrize("p,d,tau", [(3, 4, 0.3 + 0.9j), (5, 3, -1.2 + 0.4j), (11, 2, 1j)])
+def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
+    f = random_even_function(p, d, 4)
+    evals = _table_evaluations(f, tau)
+    needed = {(point if j == INF else (point - j) / p**2, theta_j_eval_full(g, j, point).radius)
+              for g, j, point in evals}
+    built, passes, cuts, dfts = [], [], [], []
+    rows_of, cut_of, dft_of = theta._partial_theta_rows, theta._theta_cut, theta._dft_matrix
+
+    def rows(p_, taus, cut):
+        passes.append(cut)
+        built.extend((tau_eff, cut) for tau_eff in taus)
+        return rows_of(p_, taus, cut)
+
+    def search(*key):
+        cuts.append(key)
+        return cut_of(*key)
+
+    def dft(p_):
+        dfts.append(p_)
+        return dft_of(p_)
+
+    monkeypatch.setattr(theta, "_partial_theta_rows", rows)
+    monkeypatch.setattr(theta, "_theta_cut", search)
+    monkeypatch.setattr(theta, "_dft_matrix", dft)
+    verify_generator_actions(f, tau)
+    assert len(built) == len(set(built)) and set(built) == needed
+    # the finite components search each cut once; each of the three values
+    # at infinity is one theta_j_eval_full call with its own search
+    finite = [key for key in cuts if key[2] == 1]
+    assert len(finite) == len(set(finite))
+    assert len(cuts) - len(finite) == 3 and dfts == [p] * 3
+    # the 4p + 4 evaluations need about half as many vectors, built in a few
+    # passes: the finite components of one point share their cut
+    assert len(built) < len(evals) and len(passes) - 3 <= 3
+
+
+def test_generator_table_keeps_nothing_past_the_call():
+    f = random_even_function(5, 3, 11)
+    verify_generator_actions(f, 0.2 + 0.8j)  # f's own flags, numpy's lazy set-up
+    module_state = dict(vars(theta))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for k in range(6):
+            rows = verify_generator_actions(f, complex(0.1 * k, 0.8))
+            assert len(rows) == 2 * 5 + 2
+        del rows
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert vars(theta).keys() == module_state.keys()
+    assert all(vars(theta)[name] is obj for name, obj in module_state.items())
+    # one kept partial-sum vector alone would take more than this
+    assert left < 512
+
+
+def test_max_abs_is_computed_once():
+    f = random_even_function(3, 2, 1)
+    assert f.max_abs is f.max_abs
+    assert f.max_abs == float(np.abs(f.values).max())
