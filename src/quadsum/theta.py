@@ -25,10 +25,12 @@ Conventions fixed throughout:
   returned ``ThetaValue``.  ``theta_coeffs`` keeps the residue census, which
   the tests use as the independent oracle for these values.
 * A value is f contracted with one 1-d vector of partial sums that depends
-  only on (p, tau_eff, cut, dual), so a generator table shares them: one
-  ``_Components`` per call builds each distinct vector and searches each
-  cut once, the finite components of one image point in one exponential
-  pass.  Nothing is kept between calls.
+  only on (p, tau_eff, cut, dual).  The finite components of one image
+  point share Im tau_eff and so their cut, and a generator table builds
+  their vectors together: one exponential pass per bounded batch of
+  distinct vectors, each contracted with every function asked at it and
+  dropped with its batch.  Each cut is searched once per call; nothing is
+  kept between calls.
 """
 
 from __future__ import annotations
@@ -180,13 +182,9 @@ def _commuting(f: TestFunction, values: np.ndarray) -> TestFunction:
 
 def op_L(f: TestFunction, k: int = 1) -> TestFunction:
     """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
-    # the phase of each residue of Q mod p, gathered: the same doubles as
-    # exponentiating at every x, with p exponentials instead of p^d.  The
-    # product goes into the phases' buffer with f's values as the first
-    # factor, as in f.values * phase: numpy's fused complex multiply is not
-    # commutative in the last bit.
-    phase = np.exp(-2j * np.pi * np.arange(f.p) / f.p)[(k * qmod_vector(f.p, f.d)) % f.p]
-    return _commuting(f, np.multiply(f.values, phase, out=phase))
+    q = qmod_vector(f.p, f.d)
+    phase = np.exp(-2j * np.pi * ((k * q) % f.p) / f.p)
+    return _commuting(f, f.values * phase)
 
 
 def op_Sj(f: TestFunction, j: int) -> TestFunction:
@@ -270,10 +268,9 @@ def _gauss_tail(y: float, cut: int) -> float:
     return 2.0 * math.exp(-TWO_PI * y * (cut + 1) ** 2) / -math.expm1(-TWO_PI * y * (2 * cut + 3))
 
 
-#: most terms one exponential pass of ``_partial_theta_rows`` holds; the rows
-#: of a larger grid are split over passes, so a large cut costs no more
-#: memory than evaluating its rows one at a time
-_PASS_TERMS = 2**16
+#: most terms, and most partial sums, one ``_partial_theta_rows`` pass of a
+#: generator table holds
+_PASS_TERMS = 2**14
 
 
 def _partial_theta_rows(p: int, taus: list[complex], cut: int) -> np.ndarray:
@@ -288,17 +285,12 @@ def _partial_theta_rows(p: int, taus: list[complex], cut: int) -> np.ndarray:
     """
     s = np.arange(1, cut + 1, dtype=np.int64)
     t = np.concatenate(([0], np.stack([s, -s], axis=1).ravel()))
-    t_sq, res = t * t, t % p
-    step = max(1, _PASS_TERMS // t.size)
-    rows = []
-    for lo in range(0, len(taus), step):
-        phase = np.array([2j * np.pi * tau for tau in taus[lo:lo + step]])
-        terms = np.exp(phase[:, None] * t_sq)
-        bins = (res + p * np.arange(phase.size)[:, None]).ravel()
-        size = p * phase.size
-        rows.append(np.bincount(bins, terms.real.ravel(), minlength=size)
-                    + 1j * np.bincount(bins, terms.imag.ravel(), minlength=size))
-    return np.concatenate(rows).reshape(len(taus), p)
+    phase = np.array([2j * np.pi * tau for tau in taus])
+    terms = np.exp(phase[:, None] * (t * t))
+    bins = (t % p + p * np.arange(len(taus))[:, None]).ravel()
+    size = p * len(taus)
+    sums = np.bincount(bins, terms.real.ravel(), minlength=size) + 1j * np.bincount(bins, terms.imag.ravel(), minlength=size)
+    return sums.reshape(len(taus), p)
 
 
 def _product_tail(m: float, d: int, beta: float, a_sum: float) -> float:
@@ -348,106 +340,62 @@ def _theta_cut(m: float, d: int, spread: int, y: float, eps: float) -> int:
     return cut
 
 
-class _Components:
-    """The theta values of one call, each evaluated when asked, sharing what
-    they have in common.
+def _contract(f: TestFunction, a: np.ndarray, beta: float, a_sum: float, cut: int) -> ThetaValue:
+    """The contraction of the (p,)*d value tensor with a along every axis;
+    beta bounds the l1 norm of the 1-d tail a misses and a_sum = sum_k |a_k|."""
+    t = f.values.reshape((f.p,) * f.d)
+    for _ in range(f.d):
+        t = t @ a
+    return ThetaValue(value=complex(t), tail=_product_tail(f.max_abs, f.d, beta, a_sum), radius=cut)
 
-    theta_f = sum_e f(e) prod_i vartheta_{e_i}, so a truncated value is the
-    contraction of the (p,)*d value tensor with one vector a along every
-    axis, and a depends only on (p, tau_eff, cut, dual): the partial sums v,
-    or W v for the transform, since <W^{(x)d} f, v^{(x)d}> = <f, (W v)^{(x)d}>;
-    W multiplies the l1 norm of the 1-d tail by at most p.  The tail is
-    ``_product_tail`` at the summed modulus of a.  For one call the object
-    keeps each cut it searched, per (max|f|, d, spread, Im tau_eff), and each
-    vector it built, with its tail and l1 sum, so each is computed once.
-    With ``whole_points`` the first finite component asked at an image point
-    builds the partial sums of all p components there in one
-    ``_partial_theta_rows`` pass, for a caller that asks for all of them.  It
-    keeps no function, so a caller that makes a function per value frees
-    each one after use; the caller creates it and drops it, and nothing
-    outlives the call.
-    """
 
-    def __init__(self, eps: float, whole_points: bool = False):
-        self.eps = eps
-        self.whole_points = whole_points
-        self._cuts: dict[tuple, int] = {}
-        self._sums: dict[tuple, np.ndarray] = {}
-        self._vectors: dict[tuple, tuple[np.ndarray, float, float]] = {}
-
-    def series(self, f: TestFunction, tau_eff: complex, dual: bool = False,
-               point: complex | None = None) -> ThetaValue:
-        """theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps;
-        ``point`` is the image point of a finite component.
-
-        The cut T is the smallest one whose a priori bound prior(T), the
-        product tail with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau)
-        (times p for the transform) in place of the computed summed modulus,
-        is at most eps (``_theta_cut``).  The reported tail never exceeds
-        prior(T), so one evaluation at T suffices.
-        """
-        if not 0 < self.eps < math.inf:
-            raise ValidationError(f"eps must be positive and finite, got {self.eps}")
-        y = tau_eff.imag
-        if y <= 0:
-            raise ValidationError(f"Im(tau) must be positive, got {tau_eff}")
-        if f.max_abs == 0.0:
-            return ThetaValue(0j, 0.0, 0)
-        key = (f.max_abs, f.d, f.p if dual else 1, y)
-        if key not in self._cuts:
-            self._cuts[key] = _theta_cut(*key, self.eps)
-        res = self.at_cut(f, tau_eff, self._cuts[key], dual, point)
-        if not res.tail <= self.eps * (abs(res.value) + 1.0):
-            raise QuadsumError(f"theta tail {res.tail} above eps (|value| + 1) at cut {res.radius}")
-        return res
-
-    def at_cut(self, f: TestFunction, tau_eff: complex, cut: int, dual: bool,
-               point: complex | None = None) -> ThetaValue:
-        """theta_f(tau_eff) (theta_{F(f)} when ``dual``) from the partial sums with |t| <= cut."""
-        p, d = f.p, f.d
-        key = (p, tau_eff, cut, dual)
-        if key not in self._vectors:
-            if (p, tau_eff, cut) not in self._sums:
-                taus = [tau_eff]
-                if point is not None and self.whole_points:
-                    taus += [(point - k) / p**2 for k in range(p)]
-                fresh = [t for t in dict.fromkeys(taus) if (p, t, cut) not in self._sums]
-                for t, row in zip(fresh, _partial_theta_rows(p, fresh, cut)):
-                    self._sums[p, t, cut] = row
-            a, beta = self._sums[p, tau_eff, cut], _gauss_tail(tau_eff.imag, cut)
-            if dual:
-                a, beta = _dft_matrix(p) @ a, beta * p
-            self._vectors[key] = (a, beta, float(np.abs(a).sum()))
-        a, beta, a_sum = self._vectors[key]
-        t = f.values.reshape((p,) * d)
-        for _ in range(d):
-            t = t @ a
-        return ThetaValue(value=complex(t), tail=_product_tail(f.max_abs, d, beta, a_sum), radius=cut)
-
-    def component(self, f: TestFunction, j: CuspIndex, tau: complex) -> ThetaValue:
-        """The component theta_f^j(tau); see ``theta_j_eval_full``."""
-        if f.p == 2:
-            raise ValidationError("theta components are defined for odd p only")
-        if not f.is_even:
-            raise ValidationError("theta components require an even test function")
-        if j == INF:
-            return self.series(f, tau, dual=True)
-        if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= f.p - 1:
-            raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
-        scaled = (tau - int(j)) / f.p**2
-        if tau.imag > 0:  # else series() refuses the tau itself, as a usage error
-            _image_point(f"(tau - {j})/{f.p}^2", scaled)
-        return self.series(f, scaled, point=tau)
+def _checked(res: ThetaValue, eps: float) -> ThetaValue:
+    if not res.tail <= eps * (abs(res.value) + 1.0):
+        raise QuadsumError(f"theta tail {res.tail} above eps (|value| + 1) at cut {res.radius}")
+    return res
 
 
 def _eval_at_cut(f: TestFunction, tau_eff: complex, cut: int, dual: bool) -> ThetaValue:
-    """theta_f(tau_eff) (theta_{F(f)} when ``dual``) from the partial sums with |t| <= cut."""
-    return _Components(DEFAULT_EPS).at_cut(f, tau_eff, cut, dual)
+    """theta_f(tau_eff) (theta_{F(f)} when ``dual``) from the partial sums with |t| <= cut.
+
+    theta_f = sum_e f(e) prod_i vartheta_{e_i}, so the truncated value is the
+    contraction of the (p,)*d value tensor with v along every axis; for the
+    transform, <W^{(x)d} f, v^{(x)d}> = <f, (W v)^{(x)d}> contracts f with W v
+    instead, and W multiplies the l1 norm of the 1-d tail by at most p.  The
+    tail is ``_product_tail`` at the summed modulus of the computed vector.
+    """
+    p = f.p
+    a = _partial_theta_rows(p, [tau_eff], cut)[0]
+    beta = _gauss_tail(tau_eff.imag, cut)
+    if dual:
+        a = _dft_matrix(p) @ a
+        beta *= p
+    return _contract(f, a, beta, float(np.abs(a).sum()), cut)
+
+
+def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = False) -> ThetaValue:
+    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps.
+
+    The cut T is the smallest one whose a priori bound prior(T), the product
+    tail with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau)
+    (times p for the transform) in place of the computed summed modulus, is
+    at most eps (``_theta_cut``).  The reported tail never exceeds prior(T),
+    so one evaluation at T suffices.
+    """
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"eps must be positive and finite, got {eps}")
+    y = tau_eff.imag
+    if y <= 0:
+        raise ValidationError(f"Im(tau) must be positive, got {tau_eff}")
+    if f.max_abs == 0.0:
+        return ThetaValue(0j, 0.0, 0)
+    cut = _theta_cut(f.max_abs, f.d, f.p if dual else 1, y, eps)
+    return _checked(_eval_at_cut(f, tau_eff, cut, dual), eps)
 
 
 def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
     """theta_f(tau) = sum_{x in Z^d} f(x mod p) e^{2 pi i Q(x,x) tau}, truncated."""
-    return _Components(eps).series(f, complex(tau))
+    return _series_eval(f, complex(tau), eps)
 
 
 def theta_eval(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> complex:
@@ -462,7 +410,59 @@ def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = 
     1/p^d of the Plancherel-normalized transform cancel), evaluated without
     forming the transform.
     """
-    return _Components(eps).component(f, j, complex(tau))
+    _require_component_function(f)
+    tau = complex(tau)
+    if j == INF:
+        return _series_eval(f, tau, eps, dual=True)
+    if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= f.p - 1:
+        raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
+    scaled = (tau - int(j)) / f.p**2
+    if tau.imag > 0:  # else _series_eval refuses the tau itself, as a usage error
+        _image_point(f"(tau - {j})/{f.p}^2", scaled)
+    return _series_eval(f, scaled, eps)
+
+
+def _require_component_function(f: TestFunction) -> None:
+    if f.p == 2:
+        raise ValidationError("theta components are defined for odd p only")
+    if not f.is_even:
+        raise ValidationError("theta components require an even test function")
+
+
+def _finite_components(asks: list[tuple[TestFunction, int, complex]], eps: float, cuts: dict) -> list[complex]:
+    """theta_g^j(point) for each (g, j, point) of ``asks``, j finite and eps
+    already checked: the values ``theta_j_eval`` returns, each image point
+    (point - j)/p^2 checked in the order of ``asks``.
+
+    The cut of each ask is searched once per (max|g|, Im tau_eff) and kept
+    in ``cuts``, the searches of the calling check.  The finite components
+    of one point share Im tau_eff, so with one max|g| they share one cut.
+    The asks with one cut share their partial sums: each distinct tau_eff
+    gets one row, built in ``_partial_theta_rows`` passes of at most
+    ``_PASS_TERMS`` terms and sums, contracted with every function asked at
+    it and dropped with its pass.  The caller bounds the functions that
+    ``asks`` holds.
+    """
+    users: dict[int, dict[complex, list[int]]] = {}
+    for i, (g, j, point) in enumerate(asks):
+        _require_component_function(g)
+        tau_eff = _image_point(f"(tau - {j})/{g.p}^2", (point - j) / g.p**2)
+        if g.max_abs != 0.0:
+            key = (g.max_abs, g.d, 1, tau_eff.imag)
+            if key not in cuts:
+                cuts[key] = _theta_cut(*key, eps)
+            users.setdefault(cuts[key], {}).setdefault(tau_eff, []).append(i)
+    values = [0j] * len(asks)
+    for cut, at in users.items():
+        p, taus = asks[0][0].p, list(at)
+        step = max(1, _PASS_TERMS // max(p, 2 * cut + 1))
+        for lo in range(0, len(taus), step):
+            batch = taus[lo:lo + step]
+            for tau_eff, a in zip(batch, _partial_theta_rows(p, batch, cut)):
+                beta, a_sum = _gauss_tail(tau_eff.imag, cut), float(np.abs(a).sum())
+                for i in at[tau_eff]:
+                    values[i] = _checked(_contract(asks[i][0], a, beta, a_sum, cut), eps).value
+    return values
 
 
 def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:
@@ -500,19 +500,18 @@ def _residual(label: str, lhs: complex, rhs: complex) -> TransformResidual:
     )
 
 
-def _poisson(f: TestFunction, tau: complex, eps: float, components: _Components) -> tuple[TransformResidual, complex]:
-    """The residual of the summation identity with its left side
-    theta_f^inf(tau); the right side's component comes from ``components``."""
+def _poisson(f: TestFunction, tau: complex, eps: float, cuts: dict) -> tuple[TransformResidual, complex]:
+    """The residual of the summation identity with its left side theta_f^inf(tau)."""
     lhs = theta_j_eval(f, INF, tau, eps)
     tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
-    rhs = half_power(1j / (2 * tau), f.d) * components.component(f, 0, tau_inv).value
+    rhs = half_power(1j / (2 * tau), f.d) * _finite_components([(f, 0, tau_inv)], eps, cuts)[0]
     return _residual("poisson", lhs, rhs), lhs
 
 
 def verify_poisson(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> TransformResidual:
     """Residual of the summation identity
     theta_f^inf(tau) = (i/2tau)^{d/2} theta_f^0(-1/(4 tau))."""
-    return _poisson(f, complex(tau), eps, _Components(eps))[0]
+    return _poisson(f, complex(tau), eps, {})[0]
 
 
 def verify_generator_actions(
@@ -524,46 +523,43 @@ def verify_generator_actions(
     swaps 0 with infinity and pairs j with its involution partner j' through
     the composed L/S operator, with the (i/2tau)^{d/2} factor.
 
-    The table asks for every finite component at tau - 1, tau and -1/(4 tau),
-    so one ``_Components`` evaluates them, with one partial-sum pass per
-    image point and cut; theta_f^j(tau) serves both its alpha and its gamma
-    row.  A value at infinity shares no partial sums with them (its vector
-    is W v, its cut carries the spread p); the three come from
-    ``theta_j_eval_full``, the one at tau once for its two rows.  The
-    ``gamma j=0`` row is the summation identity's residual relabelled,
+    The ``gamma j=0`` row is the summation identity's residual relabelled,
     evaluated first, so a failing input raises what ``verify_poisson``
-    would.
+    would.  The finite components at tau - 1 and tau, theta_f^j(tau) once
+    for its alpha and its gamma row, share their partial sums through one
+    ``_finite_components``; those at -1/(4 tau) follow in batches of the
+    functions L^k S_{2j'} f, made as each batch needs them.  Every cut of
+    a finite component is searched once per call.  A value at infinity
+    shares no partial sums with them (its vector is W v, its cut carries the
+    spread p); the three come from ``theta_j_eval_full``, the one at tau
+    once for its two rows.
     """
     tau = complex(tau)
     p, d = f.p, f.d
-    components = _Components(eps, whole_points=True)
-    poisson, at_inf = _poisson(f, tau, eps, components)
-    at_tau = {}
-    rows: list[TransformResidual] = []
-    for j in range(p - 1):
-        lhs = components.component(f, j, tau - 1).value
-        at_tau[j + 1] = components.component(f, j + 1, tau).value
-        rows.append(_residual(f"alpha j={j}", lhs, at_tau[j + 1]))
-    rows.append(
-        _residual(
-            "alpha j=p-1",
-            components.component(f, p - 1, tau - 1).value,
-            components.component(op_L(f), 0, tau).value,
-        )
+    cuts: dict = {}
+    poisson, at_inf = _poisson(f, tau, eps, cuts)
+    found = _finite_components(
+        [(f, j, tau - 1) for j in range(p)] + [(f, j, tau) for j in range(p)] + [(op_L(f), 0, tau)], eps, cuts
     )
+    before, at_tau = found[:p], found[p:2 * p]
+    rows = [_residual(f"alpha j={j}", before[j], at_tau[j + 1]) for j in range(p - 1)]
+    rows.append(_residual("alpha j=p-1", before[p - 1], found[2 * p]))
     rows.append(_residual("alpha j=inf", theta_j_eval(f, INF, tau - 1, eps), at_inf))
     w = half_power(1j / (2 * tau), d)
     tau_inv = -1 / (4 * tau)  # checked by _poisson
-    for j in range(1, p):
-        jp, kj = j_prime_k(j, p)
-        g = op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p)
-        rows.append(_residual(f"gamma j={j}", at_tau[j], w * components.component(g, jp, tau_inv).value))
+    partners = [j_prime_k(j, p) for j in range(1, p)]
+    step = max(1, _PASS_TERMS // f.values.size)
+    at_inv = []
+    for lo in range(0, p - 1, step):
+        asks = [(op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p), jp, tau_inv) for jp, kj in partners[lo:lo + step]]
+        at_inv += _finite_components(asks, eps, cuts)
+    rows += [_residual(f"gamma j={j}", at_tau[j], w * value) for j, value in enumerate(at_inv, start=1)]
     rows.append(replace(poisson, label="gamma j=0"))
     rows.append(
         _residual(
             "gamma j=inf",
             theta_j_eval(f, INF, tau_inv, eps),
-            half_power(2 * tau / 1j, d) * components.component(f, 0, tau).value,
+            half_power(2 * tau / 1j, d) * at_tau[0],
         )
     )
     return rows

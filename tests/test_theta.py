@@ -736,13 +736,14 @@ def _single_row(p, tau, cut):
 
 
 def test_batched_partial_sum_rows_equal_single_rows():
-    # the larger cuts split their rows over several exponential passes
+    # one exponential pass per call: the row counts keep it near 2^17 terms
     rng = random.Random(15015)
     for _ in range(60):
         p = rng.choice((3, 5, 7, 11, 13))
         cut = rng.choice((0, 1, rng.randint(2, 80), rng.randint(2000, 5000), 40000))
+        most = max(1, min(25, 2**17 // (2 * cut + 1)))
         taus = [complex(rng.choice((0.0, rng.uniform(-5, 5), 10 ** rng.uniform(0, 12))), 10 ** rng.uniform(-6, 1))
-                for _ in range(rng.randint(1, 25))]
+                for _ in range(rng.randint(1, most))]
         rows = theta._partial_theta_rows(p, taus, cut)
         assert rows.shape == (len(taus), p)
         for tau, row in zip(taus, rows):
@@ -817,7 +818,8 @@ def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
     assert len(finite) == len(set(finite))
     assert len(cuts) - len(finite) == 3 and dfts == [p] * 3
     # the 4p + 4 evaluations need about half as many vectors, built in a few
-    # passes: the finite components of one point share their cut
+    # passes: the summation formula's one, one for tau - 1 and tau, whose
+    # finite components share their cut, and one for -1/(4 tau)
     assert len(built) < len(evals) and len(passes) - 3 <= 3
 
 
@@ -841,6 +843,28 @@ def test_generator_table_keeps_nothing_past_the_call():
     assert all(vars(theta)[name] is obj for name, obj in module_state.items())
     # one kept partial-sum vector alone would take more than this
     assert left < 512
+
+
+def test_generator_table_peak_memory_is_one_evaluation_at_infinity():
+    # at p = 1009, d = 1 each of the 3p finite components has a cut near
+    # 2200.  The p x p transform matrix of a value at infinity sets the peak
+    # of one evaluation, about 33 MB here; the table stays within a few
+    # percent of it.  Keeping every finite component's partial sums for the
+    # whole call would double it.
+    f = random_even_function(1009, 1, 3)
+    tau = 0.3 + 0.9j
+    assert f.is_even and f.max_abs > 0  # f's own flags, outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        theta_j_eval_full(f, INF, tau)
+        one = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verify_generator_actions(f, tau)
+        table = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table < 1.1 * one
 
 
 def test_max_abs_is_computed_once():
