@@ -269,7 +269,7 @@ def _gauss_tail(y: float, cut: int) -> float:
 
 
 #: most terms, and most partial sums, one ``_partial_theta_rows`` pass of a
-#: generator table holds
+#: generator table holds, unless one row alone has more
 _PASS_TERMS = 2**14
 
 
@@ -439,8 +439,8 @@ def _finite_components(asks: list[tuple[TestFunction, int, complex]], eps: float
     of one point share Im tau_eff, so with one max|g| they share one cut.
     The asks with one cut share their partial sums: each distinct tau_eff
     gets one row, built in ``_partial_theta_rows`` passes of at most
-    ``_PASS_TERMS`` terms and sums, contracted with every function asked at
-    it and dropped with its pass.  The caller bounds the functions that
+    ``_PASS_TERMS`` terms and sums (one row where it alone has more),
+    contracted with every function asked at it and dropped with its pass.  The caller bounds the functions that
     ``asks`` holds.
     """
     users: dict[int, dict[complex, list[int]]] = {}
