@@ -25,12 +25,15 @@ Conventions fixed throughout:
   returned ``ThetaValue``.  ``theta_coeffs`` keeps the residue census, which
   the tests use as the independent oracle for these values.
 * A value is f contracted with one 1-d vector of partial sums that depends
-  only on (p, tau_eff, cut, dual).  The finite components of one image
-  point share Im tau_eff and so their cut, and a generator table builds
-  their vectors together: one exponential pass per bounded batch of
-  distinct vectors, each contracted with every function asked at it and
-  dropped with its batch.  Each cut is searched once per call; nothing is
-  kept between calls.
+  only on (p, tau_eff, cut, dual).  One evaluator, ``_theta_values``, takes
+  a list of such asks (``_component`` turns theta_f^j(point) into one) and
+  computes every theta value: the full series and a single component as
+  one ask, a generator table's finite components as a few lists.  The
+  finite components of one image point share Im tau_eff and so their cut;
+  the evaluator builds the vectors of one list together, one exponential
+  pass per bounded batch of distinct vectors, each contracted with every
+  function asked at it and dropped with its batch.  Each cut is searched
+  once per call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -355,118 +358,15 @@ def _checked(res: ThetaValue, eps: float) -> ThetaValue:
     return res
 
 
-def _eval_at_cut(f: TestFunction, tau_eff: complex, cut: int, dual: bool) -> ThetaValue:
-    """theta_f(tau_eff) (theta_{F(f)} when ``dual``) from the partial sums with |t| <= cut.
-
-    theta_f = sum_e f(e) prod_i vartheta_{e_i}, so the truncated value is the
-    contraction of the (p,)*d value tensor with v along every axis; for the
-    transform, <W^{(x)d} f, v^{(x)d}> = <f, (W v)^{(x)d}> contracts f with W v
-    instead, and W multiplies the l1 norm of the 1-d tail by at most p.  The
-    tail is ``_product_tail`` at the summed modulus of the computed vector.
-    """
-    p = f.p
-    a = _partial_theta_rows(p, [tau_eff], cut)[0]
-    beta = _gauss_tail(tau_eff.imag, cut)
-    if dual:
-        a = _dft_matrix(p) @ a
-        beta *= p
-    return _contract(f, a, beta, float(np.abs(a).sum()), cut)
-
-
-def _series_eval(f: TestFunction, tau_eff: complex, eps: float, dual: bool = False) -> ThetaValue:
-    """Evaluate theta_f(tau_eff) (theta_{F(f)} when ``dual``) with tail <= eps.
-
-    The cut T is the smallest one whose a priori bound prior(T), the product
-    tail with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau)
-    (times p for the transform) in place of the computed summed modulus, is
-    at most eps (``_theta_cut``).  The reported tail never exceeds prior(T),
-    so one evaluation at T suffices.
-    """
+def _upper_half_plane(tau: complex, eps: float) -> complex:
+    """tau as a complex number, once eps and Im(tau) are checked: the usage
+    errors of every theta evaluation, raised before any image point is made."""
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
-    y = tau_eff.imag
-    if y <= 0:
-        raise ValidationError(f"Im(tau) must be positive, got {tau_eff}")
-    if f.max_abs == 0.0:
-        return ThetaValue(0j, 0.0, 0)
-    cut = _theta_cut(f.max_abs, f.d, f.p if dual else 1, y, eps)
-    return _checked(_eval_at_cut(f, tau_eff, cut, dual), eps)
-
-
-def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
-    """theta_f(tau) = sum_{x in Z^d} f(x mod p) e^{2 pi i Q(x,x) tau}, truncated."""
-    return _series_eval(f, complex(tau), eps)
-
-
-def theta_eval(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> complex:
-    return theta_eval_full(f, tau, eps).value
-
-
-def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
-    """The component theta_f^j for j in {0..p-1, inf} (odd p, even f).
-
-    Finite j uses the exponent (tau - j)/p^2; j = inf is theta of the
-    finite Fourier transform of f (the p^d scale of the component and the
-    1/p^d of the Plancherel-normalized transform cancel), evaluated without
-    forming the transform.
-    """
-    _require_component_function(f)
     tau = complex(tau)
-    if j == INF:
-        return _series_eval(f, tau, eps, dual=True)
-    if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= f.p - 1:
-        raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
-    scaled = (tau - int(j)) / f.p**2
-    if tau.imag > 0:  # else _series_eval refuses the tau itself, as a usage error
-        _image_point(f"(tau - {j})/{f.p}^2", scaled)
-    return _series_eval(f, scaled, eps)
-
-
-def _require_component_function(f: TestFunction) -> None:
-    if f.p == 2:
-        raise ValidationError("theta components are defined for odd p only")
-    if not f.is_even:
-        raise ValidationError("theta components require an even test function")
-
-
-def _finite_components(asks: list[tuple[TestFunction, int, complex]], eps: float, cuts: dict) -> list[complex]:
-    """theta_g^j(point) for each (g, j, point) of ``asks``, j finite and eps
-    already checked: the values ``theta_j_eval`` returns, each image point
-    (point - j)/p^2 checked in the order of ``asks``.
-
-    The cut of each ask is searched once per (max|g|, Im tau_eff) and kept
-    in ``cuts``, the searches of the calling check.  The finite components
-    of one point share Im tau_eff, so with one max|g| they share one cut.
-    The asks with one cut share their partial sums: each distinct tau_eff
-    gets one row, built in ``_partial_theta_rows`` passes of at most
-    ``_PASS_TERMS`` terms and sums (one row where it alone has more),
-    contracted with every function asked at it and dropped with its pass.  The caller bounds the functions that
-    ``asks`` holds.
-    """
-    users: dict[int, dict[complex, list[int]]] = {}
-    for i, (g, j, point) in enumerate(asks):
-        _require_component_function(g)
-        tau_eff = _image_point(f"(tau - {j})/{g.p}^2", (point - j) / g.p**2)
-        if g.max_abs != 0.0:
-            key = (g.max_abs, g.d, 1, tau_eff.imag)
-            if key not in cuts:
-                cuts[key] = _theta_cut(*key, eps)
-            users.setdefault(cuts[key], {}).setdefault(tau_eff, []).append(i)
-    values = [0j] * len(asks)
-    for cut, at in users.items():
-        p, taus = asks[0][0].p, list(at)
-        step = max(1, _PASS_TERMS // max(p, 2 * cut + 1))
-        for lo in range(0, len(taus), step):
-            batch = taus[lo:lo + step]
-            for tau_eff, a in zip(batch, _partial_theta_rows(p, batch, cut)):
-                beta, a_sum = _gauss_tail(tau_eff.imag, cut), float(np.abs(a).sum())
-                for i in at[tau_eff]:
-                    values[i] = _checked(_contract(asks[i][0], a, beta, a_sum, cut), eps).value
-    return values
-
-
-def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:
-    return theta_j_eval_full(f, j, tau, eps).value
+    if tau.imag <= 0:
+        raise ValidationError(f"Im(tau) must be positive, got {tau}")
+    return tau
 
 
 def _image_point(label: str, point: complex) -> complex:
@@ -479,6 +379,94 @@ def _image_point(label: str, point: complex) -> complex:
             f"the image point {label} = {point} has no positive imaginary part in double precision"
         )
     return point
+
+
+def _component(g: TestFunction, j: CuspIndex, point: complex) -> tuple[TestFunction, complex, bool]:
+    """The ask (g, tau_eff, dual) of the component theta_g^j(point), j in
+    {0..p-1, inf} (odd p, even g, Im(point) > 0), for ``_theta_values``.
+
+    Finite j uses the exponent tau_eff = (point - j)/p^2; j = inf is theta of
+    the finite Fourier transform of g at point (the p^d scale of the
+    component and the 1/p^d of the Plancherel-normalized transform cancel),
+    evaluated without forming the transform.
+    """
+    if g.p == 2:
+        raise ValidationError("theta components are defined for odd p only")
+    if not g.is_even:
+        raise ValidationError("theta components require an even test function")
+    if j == INF:
+        return g, point, True
+    if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= g.p - 1:
+        raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
+    return g, _image_point(f"(tau - {j})/{g.p}^2", (point - int(j)) / g.p**2), False
+
+
+def _theta_values(asks: list[tuple[TestFunction, complex, bool]], eps: float, cuts: dict) -> list[ThetaValue]:
+    """theta_g(tau_eff) (theta_{F(g)} when ``dual``) with tail <= eps for each
+    (g, tau_eff, dual) of ``asks``: the one evaluator of theta values.  The
+    asks share one p; eps and every Im(tau_eff) > 0 are already checked.
+
+    theta_g = sum_e g(e) prod_i vartheta_{e_i}, so the truncated value is the
+    contraction of the (p,)*d value tensor with the partial sums v along
+    every axis; for the transform, <W^{(x)d} g, v^{(x)d}> = <g, (W v)^{(x)d}>
+    contracts g with W v instead, and W multiplies the l1 norm of the 1-d
+    tail by at most p.  The tail is ``_product_tail`` at the summed modulus
+    of the computed vector.  The cut T is the smallest one whose a priori
+    bound, the same product with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <=
+    1 + 1/sqrt(2 Im tau) (times p for the transform) in place of the computed
+    summed modulus, is at most eps (``_theta_cut``); the reported tail never
+    exceeds it, so one evaluation at T suffices.
+
+    Each cut is searched once per (max|g|, d, spread, Im tau_eff) and kept in
+    ``cuts``, the searches of the calling check, so the finite components of
+    one image point, which share Im tau_eff, share one cut per max|g|.  The
+    asks with one cut and ``dual`` share their partial sums: each distinct
+    tau_eff gets one row, built in ``_partial_theta_rows`` passes of at most
+    ``_PASS_TERMS`` terms and sums (one row where it alone has more),
+    contracted with every function asked at it and dropped with its pass.
+    The caller bounds the functions that ``asks`` holds.
+    """
+    values = [ThetaValue(0j, 0.0, 0)] * len(asks)
+    users: dict[tuple[int, bool], dict[complex, list[int]]] = {}
+    for i, (g, tau_eff, dual) in enumerate(asks):
+        if g.max_abs != 0.0:
+            key = (g.max_abs, g.d, g.p if dual else 1, tau_eff.imag)
+            if key not in cuts:
+                cuts[key] = _theta_cut(*key, eps)
+            users.setdefault((cuts[key], dual), {}).setdefault(tau_eff, []).append(i)
+    for (cut, dual), at in users.items():
+        p, taus = asks[0][0].p, list(at)
+        step = max(1, _PASS_TERMS // max(p, 2 * cut + 1))
+        for lo in range(0, len(taus), step):
+            batch = taus[lo:lo + step]
+            for tau_eff, a in zip(batch, _partial_theta_rows(p, batch, cut)):
+                beta = _gauss_tail(tau_eff.imag, cut)
+                if dual:
+                    a, beta = _dft_matrix(p) @ a, beta * p
+                a_sum = float(np.abs(a).sum())
+                for i in at[tau_eff]:
+                    values[i] = _checked(_contract(asks[i][0], a, beta, a_sum, cut), eps)
+    return values
+
+
+def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
+    """theta_f(tau) = sum_{x in Z^d} f(x mod p) e^{2 pi i Q(x,x) tau}, truncated."""
+    return _theta_values([(f, _upper_half_plane(tau, eps), False)], eps, {})[0]
+
+
+def theta_eval(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> complex:
+    return theta_eval_full(f, tau, eps).value
+
+
+def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
+    """The component theta_f^j(tau) for j in {0..p-1, inf} (odd p, even f):
+    theta_f at (tau - j)/p^2 for finite j, theta_{F(f)} at tau for j = inf
+    (``_component``)."""
+    return _theta_values([_component(f, j, _upper_half_plane(tau, eps))], eps, {})[0]
+
+
+def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:
+    return theta_j_eval_full(f, j, tau, eps).value
 
 
 def half_power(z: complex, d: int) -> complex:
@@ -504,7 +492,7 @@ def _poisson(f: TestFunction, tau: complex, eps: float, cuts: dict) -> tuple[Tra
     """The residual of the summation identity with its left side theta_f^inf(tau)."""
     lhs = theta_j_eval(f, INF, tau, eps)
     tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
-    rhs = half_power(1j / (2 * tau), f.d) * _finite_components([(f, 0, tau_inv)], eps, cuts)[0]
+    rhs = half_power(1j / (2 * tau), f.d) * _theta_values([_component(f, 0, tau_inv)], eps, cuts)[0].value
     return _residual("poisson", lhs, rhs), lhs
 
 
@@ -527,20 +515,21 @@ def verify_generator_actions(
     evaluated first, so a failing input raises what ``verify_poisson``
     would.  The finite components at tau - 1 and tau, theta_f^j(tau) once
     for its alpha and its gamma row, share their partial sums through one
-    ``_finite_components``; those at -1/(4 tau) follow in batches of the
+    ``_theta_values`` call; those at -1/(4 tau) follow in batches of the
     functions L^k S_{2j'} f, made as each batch needs them.  Every cut of
     a finite component is searched once per call.  A value at infinity
     shares no partial sums with them (its vector is W v, its cut carries the
-    spread p); the three come from ``theta_j_eval_full``, the one at tau
-    once for its two rows.
+    spread p); the three are read through the module's ``theta_j_eval_full``
+    when the table runs, the one at tau once for its two rows, so a wrapped
+    or corrupted ``theta_j_eval_full`` (the bench self-test) shows in them.
     """
     tau = complex(tau)
     p, d = f.p, f.d
     cuts: dict = {}
     poisson, at_inf = _poisson(f, tau, eps, cuts)
-    found = _finite_components(
-        [(f, j, tau - 1) for j in range(p)] + [(f, j, tau) for j in range(p)] + [(op_L(f), 0, tau)], eps, cuts
-    )
+    found = [v.value for v in _theta_values(
+        [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)] + [_component(op_L(f), 0, tau)], eps, cuts
+    )]
     before, at_tau = found[:p], found[p:2 * p]
     rows = [_residual(f"alpha j={j}", before[j], at_tau[j + 1]) for j in range(p - 1)]
     rows.append(_residual("alpha j=p-1", before[p - 1], found[2 * p]))
@@ -551,8 +540,9 @@ def verify_generator_actions(
     step = max(1, _PASS_TERMS // f.values.size)
     at_inv = []
     for lo in range(0, p - 1, step):
-        asks = [(op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p), jp, tau_inv) for jp, kj in partners[lo:lo + step]]
-        at_inv += _finite_components(asks, eps, cuts)
+        asks = [_component(op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p), jp, tau_inv)
+                for jp, kj in partners[lo:lo + step]]
+        at_inv += [v.value for v in _theta_values(asks, eps, cuts)]
     rows += [_residual(f"gamma j={j}", at_tau[j], w * value) for j, value in enumerate(at_inv, start=1)]
     rows.append(replace(poisson, label="gamma j=0"))
     rows.append(
@@ -776,9 +766,7 @@ def verify_weak_modularity(
         raise ValidationError(f"matrix is not in the level-{f.p} group")
     if not f.is_even:
         raise ValidationError("verify_weak_modularity requires an even test function")
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValidationError(f"Im(tau) must be positive, got {tau}")
+    tau = _upper_half_plane(tau, eps)
     (a, b), (c, d) = g
     a, b, c, d = int(a), int(b), int(c), int(d)
     cz = c * tau + d

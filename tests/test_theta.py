@@ -47,7 +47,7 @@ from quadsum.theta import (
     verify_weak_modularity,
 )
 from quadsum.limits import THETA_CUT_CAP
-from quadsum.theta import _eval_at_cut, _gauss_tail, _product_tail, _theta_cut
+from quadsum.theta import _gauss_tail, _product_tail, _theta_cut
 
 
 def _literal_fourier(f: TestFunction) -> np.ndarray:
@@ -288,8 +288,13 @@ def test_theta_tail_bound_at_small_imaginary_part():
     tau = 1j / (36j + 1)
     full = theta_eval_full(f, tau)
     assert 0 < full.tail <= 1e-12 * (abs(full.value) + 1)
-    doubled = _eval_at_cut(f, tau, 2 * full.radius, dual=False)
-    assert abs(doubled.value - full.value) <= full.tail
+    # the same series cut at twice the radius: the 1-d partial sums contracted
+    # along each of the 4 axes
+    row = theta._partial_theta_rows(3, [tau], 2 * full.radius)[0]
+    doubled = f.values.reshape((3,) * 4)
+    for _ in range(4):
+        doubled = doubled @ row
+    assert abs(doubled - full.value) <= full.tail
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-8])
@@ -871,3 +876,48 @@ def test_max_abs_is_computed_once():
     f = random_even_function(3, 2, 1)
     assert f.max_abs is f.max_abs
     assert f.max_abs == float(np.abs(f.values).max())
+
+
+def _value_bits(values):
+    return np.array([[v.value.real, v.value.imag, v.tail, v.radius] for v in values]).tobytes()
+
+
+def test_public_evaluators_are_bit_identical_on_a_seeded_grid():
+    # the sha256 of value, tail and radius of theta_eval_full and of every
+    # theta_j_eval_full component, recorded before the single evaluations and
+    # the generator tables shared one evaluator
+    h = hashlib.sha256()
+    rng = random.Random(16001)
+    for p, d in ((3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 1)):
+        for _ in range(3):
+            f = random_even_function(p, d, rng.randrange(2**31))
+            tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-2.5, 0.5))
+            eps = rng.choice((1e-12, 1e-8))
+            values = [theta_eval_full(f, tau, eps)] + [theta_j_eval_full(f, j, tau, eps) for j in [*range(p), INF]]
+            h.update(_value_bits(values))
+    assert h.hexdigest() == "17430872f76a7ed35b4e8bc9bf7394dcf10447e06adca6e34c88a9f1b07fac51"
+
+
+def test_generator_table_reads_infinity_through_the_public_evaluator(monkeypatch):
+    # the bench self-test corrupts theta_j_eval_full at infinity and needs every
+    # table to notice: the rows that read a value at infinity must move, and
+    # only they
+    f = random_even_function(5, 3, 2)
+    tau = 0.3 + 0.7j
+    clean = verify_generator_actions(f, tau)
+    public = theta.theta_j_eval_full
+
+    def scaled(g, j, *args, **kwargs):
+        val = public(g, j, *args, **kwargs)
+        return replace(val, value=val.value * (1 + 1e-6)) if j == INF else val
+
+    monkeypatch.setattr(theta, "theta_j_eval_full", scaled)
+    moved = verify_generator_actions(f, tau)
+    assert [r.label for r in moved] == [r.label for r in clean]
+    # (lhs, rhs) read a value at infinity
+    at_inf = {"alpha j=inf": (True, True), "gamma j=0": (True, False), "gamma j=inf": (True, False)}
+    for old, new in zip(clean, moved):
+        sides = (np.array([old.lhs, old.rhs]) != np.array([new.lhs, new.rhs])).tolist()
+        assert tuple(sides) == at_inf.get(old.label, (False, False)), old.label
+        if old.label not in at_inf:
+            assert _row_bits([old]) == _row_bits([new]), old.label
