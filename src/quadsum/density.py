@@ -376,9 +376,7 @@ def singular_series(
     for p, o in ramified.items():
         if p != 2:
             factors[p] = _odd_delta(p, d, o, jacobi_symbol(-(n // p**o), p))
-    value = 1.0
-    for delta in factors.values():
-        value *= delta
+    value = math.prod(factors.values())
     return SingularSeriesValue(d=d, n=n, prime_cutoff=prime_cutoff, value=value, factors=factors)
 
 

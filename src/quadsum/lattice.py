@@ -17,11 +17,12 @@ signed coordinate permutations: it depends on a residue vector only through
 its orbit under them, the multiset of its sign classes min(r, p - r).  The
 convolution runs on those C(h + d - 1, d) class multisets, h = p//2 + 1, and
 ``rank`` maps each of the p**d residues to its multiset row, so a reader
-gathers only the columns it needs.  ``residue_census`` expands the whole
-table to p**d columns for the callers that want every residue (theta
-coefficients, the oracles) and keeps nothing.  Only the most recent orbit
-table is kept: callers work on one (d, p) at a time (a decay study and the
-check that reads it back, a growth scan), so no older table is reused.
+gathers only the columns it needs, or folds a function onto the orbits.
+``residue_census`` expands the whole table to p**d columns; no library path
+calls it, it is the per-residue oracle of the tests and the benchmark checks,
+and it keeps nothing.  Only the most recent orbit table is kept: callers
+work on one (d, p) at a time (a decay study and the check that reads it
+back, a growth scan), so no older table is reused.
 """
 
 from __future__ import annotations
@@ -325,6 +326,8 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
 
     It is the orbit census expanded by one gather at the row of each residue's
     multiset; the expanded table is built afresh on each call and never kept.
+    No library path calls it: it is the per-residue oracle that the tests and
+    the benchmark checks compare the orbit readers with.
     """
     if d < 1 or nmax < 0:
         raise ValidationError(f"residue_census got d={d}, nmax={nmax}")

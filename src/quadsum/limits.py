@@ -24,8 +24,9 @@ RANGE_NMAX_CAP = 10**8
 ENTRY_CAP = 10**7
 
 # Residue census: maximum int64 cells of the kept orbit table with its rank,
-# (nmax + 1) * C(p//2 + d, d) + p**d, and separately of one expanded
-# residue_census table, (nmax + 1) * p**d.
+# (nmax + 1) * C(p//2 + d, d) + p**d, which caps every library reader, and
+# separately of one expanded residue_census table, (nmax + 1) * p**d, which
+# only the oracles build.
 CENSUS_CELL_CAP = 3 * 10**8
 
 # Largest modulus accepted by the exponential-sum evaluators.

@@ -22,8 +22,11 @@ Conventions fixed throughout:
   prod_i vartheta_{e_i}(tau) with vartheta_k(tau) = sum_{t = k mod p}
   e^{2 pi i t^2 tau}; each 1-d sum is cut at |t| <= T and its Gaussian tail
   bound is carried through the product into the certified ``tail`` of the
-  returned ``ThetaValue``.  ``theta_coeffs`` keeps the residue census, which
-  the tests use as the independent oracle for these values.
+  returned ``ThetaValue``.  ``theta_coeffs`` reads the coefficients off the
+  orbit census, which the tests use as the independent oracle for these
+  values: f enters c_n only through its sums over the orbits of the signed
+  coordinate permutations, so it is folded onto them once and the orbit
+  table is contracted with the K orbit sums, never expanded to p**d columns.
 * A value is f contracted with one 1-d vector of partial sums that depends
   only on (p, tau_eff, cut, dual).  One evaluator, ``_theta_values``, takes
   a list of such asks (``_component`` turns theta_f^j(point) into one) and
@@ -48,7 +51,7 @@ import numpy as np
 from .arith import j_prime_k, jacobi_symbol, require_prime, valuation
 from .density import gauss_sum
 from .errors import QuadsumError, ResourceLimitError, ValidationError
-from .lattice import encode_residues, qmod_vector, quadric_modulus, residue_census
+from .lattice import encode_residues, orbit_census, qmod_vector, quadric_modulus
 from .limits import (
     BRUTE_GRID_CAP,
     DEFAULT_EPS,
@@ -248,8 +251,25 @@ class CoefficientSeries:
 
 
 def theta_coeffs(f: TestFunction, nmax: int) -> CoefficientSeries:
-    census = residue_census(f.d, nmax, f.p)
-    return CoefficientSeries(p=f.p, d=f.d, nmax=nmax, c=census @ f.values)
+    """c_n read off the orbit census: a count depends on a residue only through
+    its orbit, so c_n = sum_k rows[n, k] F_k with F_k the sum of f over orbit k.
+
+    Each F_k is one ``math.fsum`` of the real parts and one of the imaginary
+    parts, so it is correctly rounded; the contraction with ``rows`` then adds
+    at most gamma_K for K orbits.  It runs in row blocks of at most ENTRY_CAP
+    cells, so no table of p**d columns is ever formed.
+    """
+    rows, rank = orbit_census(f.d, nmax, f.p)
+    order = np.argsort(rank)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rank, minlength=rows.shape[1]))))
+    re, im = f.values.real[order], f.values.imag[order]
+    orbit_sums = np.array([
+        complex(math.fsum(re[lo:hi].tolist()), math.fsum(im[lo:hi].tolist()))
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+    ])
+    block = max(1, ENTRY_CAP // rows.shape[1])
+    c = np.concatenate([rows[i : i + block] @ orbit_sums for i in range(0, nmax + 1, block)])
+    return CoefficientSeries(p=f.p, d=f.d, nmax=nmax, c=c)
 
 
 @dataclass(frozen=True)

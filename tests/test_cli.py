@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from quadsum import theta
 from quadsum.cli import fmt_complex, fmt_real, main, parse_tau
 from quadsum.errors import ValidationError
-from quadsum.lattice import count_range
+from quadsum.lattice import count_range, encode_residues, enumerate_sphere
 
 
 def run_cli(argv, capsys):
@@ -364,15 +365,18 @@ def test_series_output_at_a_large_prime_is_byte_identical(command, capsys):
     assert out == LARGE_SERIES_GOLDEN[command]
 
 
-# sha256 of the stdout of the census-backed commands, captured before the
-# census was built on sign classes; it must not change by one byte
+# sha256 of the stdout of the census-backed commands; it must not change by
+# one byte.  The equidist digest was captured before the census was built on
+# sign classes; the theta-coeffs and growth digests when the coefficients
+# were first read off the orbit census (f summed over each orbit), which
+# moved some rows by at most 4.4e-17 r_d(n) max|f|
 CENSUS_GOLDEN = {
     "theta-coeffs --p 3 --d 2 --nmax 50 --kind random-cusp --seed 1":
-        "ef876c70d1553956f3855bab230ce4e9de09e11e5bdca6873e8026135a6c3744",
+        "6a888a12592be567a9489b8f0348f83e54f015fe53d84c8d3ce43ba332770052",
     "equidist --d 5 --p 3 --a 1 --kmin 6 --kmax 10":
         "b8dca645acc5b289e081d4c403437d0943c89aa2b1e65205a4c6b5575311c769",
     "growth --d 5 --p 3 --nmax 2000 --seed 4":
-        "e7d701fa2122f071205cfffa60e803d726b0180d19b4031fae4bf62f5fdd85c9",
+        "032829bcc78d7eff51aafb19723740fe0ddb1616633bf9db6e357ceeda200255",
 }
 
 
@@ -381,6 +385,37 @@ def test_census_output_is_byte_identical(command, capsys):
     code, out, err = run_cli(command.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_GOLDEN[command]
+
+
+def _enumerated_coefficient(f, n: int) -> complex:
+    """c_n = sum of f(x mod p) over the points of Q(x,x) = n, by enumeration."""
+    terms = []
+    enumerate_sphere(f.d, n, lambda x: terms.append(f.values[encode_residues(x, f.p)]))
+    return complex(sum(terms))
+
+
+# commands whose expanded census, 1001 x 5^8 cells, exceeds CENSUS_CELL_CAP;
+# their orbit table holds 1001 x 45 cells.  Each maps to its test function,
+# its first n and the column that reads c_n
+REACH = {
+    "growth --d 8 --p 5 --nmax 1000 --seed 1": (lambda: theta.random_cusp_function(5, 8, 1), 1, "abs_c"),
+    "theta-coeffs --p 5 --d 8 --nmax 1000": (lambda: theta.random_even_function(5, 8, 0), 0, "c"),
+}
+
+
+@pytest.mark.parametrize("command", REACH)
+def test_coefficient_commands_reach_past_the_expanded_census(command, capsys):
+    code, out, err = run_cli(command.split() + ["--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    build, first, column = REACH[command]
+    f = build()
+    assert [row["n"] for row in rows] == list(range(first, 1001))
+    for row in rows[:3]:
+        want = _enumerated_coefficient(f, row["n"])
+        got = abs(want) if column == "abs_c" else want
+        value = float(row[column]) if column == "abs_c" else complex(row[column].replace("i", "j"))
+        assert abs(value - got) <= 1e-12 * max(count_range(8, row["n"])[-1], 1) * f.max_abs
 
 
 # sha256 of the stdout of the Gauss-sum, theta, cusp and S(r, w) commands and

@@ -9,7 +9,9 @@ import math
 import random
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import pytest
 from quadsum import theta
 from quadsum.arith import j_prime_k, jacobi_symbol
 from quadsum.errors import ResourceLimitError, ValidationError
-from quadsum.lattice import count_range, quadric_indices
+from quadsum.lattice import count_range, quadric_indices, residue_census
 from quadsum.theta import (
     INF,
     TestFunction,
@@ -253,6 +255,62 @@ def test_theta_coeffs_odd_function_vanishes():
         odd = raw - raw[[_neg_index(e, p, d) for e in range(p**d)]]
         c = theta_coeffs(TestFunction(p, d, odd), 60).c
         assert np.abs(c).max() < 1e-12
+
+
+def _exact_coeffs(f: TestFunction, nmax: int) -> np.ndarray:
+    """c_n = sum_e Fraction(census[n, e]) Fraction(f_e) over the expanded
+    census, rounded once.  The doubles of one part share the denominator 2^k
+    of the finest among them, so each exact sum is one Python int over it."""
+    census = residue_census(f.d, nmax, f.p).astype(object)
+    parts = []
+    for part in (f.values.real, f.values.imag):
+        ratios = [Fraction(x) for x in part.tolist()]
+        den = max(r.denominator for r in ratios)
+        nums = np.array([r.numerator * (den // r.denominator) for r in ratios], dtype=object)
+        parts.append(np.array([float(Fraction(s, den)) for s in census @ nums]))
+    return parts[0] + 1j * parts[1]
+
+
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = 2^-53: the error of a k-term float sum."""
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+@pytest.mark.parametrize("p,d,nmax", [(2, 4, 400), (3, 4, 300), (3, 5, 300), (5, 3, 400), (5, 4, 200), (7, 3, 300)])
+@pytest.mark.parametrize("kind", [random_even_function, random_cusp_function])
+def test_theta_coeffs_within_a_priori_bound_of_exact_sum(p, d, nmax, kind):
+    # Each orbit sum F_k is correctly rounded in its real and imaginary part
+    # (math.fsum), the contraction with the K orbit counts of row n adds at
+    # most gamma_K sum_k rows[n, k] |F_k| <= gamma_K r_d(n) max|f| per part,
+    # and the reference is rounded once: gamma_{K+2} sqrt(2) r_d(n) max|f|
+    # bounds the error.  The expanded product census @ f adds at most
+    # gamma_{p^d} per part, so the two paths agree within the sum of bounds.
+    f = kind(p, d, p + d)
+    scale = math.sqrt(2) * np.maximum(count_range(d, nmax), 1) * f.max_abs
+    orbit_bound = _gamma(comb(p // 2 + d, d) + 2) * scale
+    expanded_bound = _gamma(p**d + 2) * scale
+    c = theta_coeffs(f, nmax).c
+    exact = _exact_coeffs(f, nmax)
+    assert np.all(np.abs(c - exact) <= orbit_bound)
+    expanded = residue_census(d, nmax, p) @ f.values
+    assert np.all(np.abs(expanded - exact) <= expanded_bound)
+    assert np.all(np.abs(c - expanded) <= orbit_bound + expanded_bound)
+
+
+def test_theta_coeffs_peak_memory_is_the_orbit_table():
+    # the expanded product census @ f of 2001 x 5^5 cells peaks at 150 MB;
+    # the orbit table has 2001 x 21 cells, contracted one row block at a time
+    f = random_even_function(5, 5, 1)
+    residue_census(1, 0, 2)  # drop any kept table, so the census is built cold
+    gc.collect()
+    tracemalloc.start()
+    try:
+        theta_coeffs(f, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_theta_eval_hand_sum():
