@@ -10,6 +10,7 @@ false.  The distinction lets CI gate on genuine math regressions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -384,6 +385,9 @@ def _cmd_growth(args) -> tuple[list, list]:
     return schema, rows
 
 
+# built on the first main call and then reused: parse_args keeps no state
+# between calls
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="quadsum", description=__doc__)
     sub = parser.add_subparsers(dest="command")

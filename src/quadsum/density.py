@@ -10,6 +10,13 @@ for bit for 5 <= d <= 16 and n <= 4096; at d = 9 a few n of high 2-adic
 valuation differ by 1 ulp.  Only the direct sum needs Gauss tables, so the
 singular series and the main term never meet ``Q_CAP``.
 
+The direct sum A_d(q, n) stays a literal sum over the units a mod q.  Its
+per-modulus table keeps the units and S(q, a) / q at each of them, nothing
+at the non-units.  Its phases e^{-2 pi i n a / q} depend on a only through
+n a mod q, a multiple of gcd(n, q), so each distinct phase is exponentiated
+once and gathered; the sum is the same double as with one exponential per
+unit.
+
 The singular series does not evaluate a local density per prime.  For
 p not dividing 2n, delta_{p,d}(n) depends on n only through chi = (-n/p), and
 not at all for even d, so it is read from a per-d table of these unramified
@@ -102,33 +109,50 @@ def gauss_sum_prime_power(p: int, h: int, a: int) -> complex:
     return epsilon(p) * jacobi_symbol(a, p) * p ** (h / 2)
 
 
-# Per-modulus data: the units mod q and all S(q, a), both read-only.  The
-# bound is 64 moduli: one circle-method job list (bench/workloads.py) uses 35
-# to 39 distinct moduli, up to 2^18, so it never evicts there.  The units are
-# the residues off the multiples of the primes dividing q.  Every Gauss-table
-# path (A_d(q, n) and the unit phase sums) meets Q_CAP here, before any
-# allocation.
+# Per-modulus data: the units a mod q, ascending, and S(q, a) / q at each of
+# them, both read-only; the Gauss sums at the non-units are never read, so
+# they are not kept.  The bound is 64 moduli: one circle-method job list
+# (bench/workloads.py) uses 35 to 39 distinct moduli, up to 2^18, so it never
+# evicts there.  The units are the residues off the multiples of the primes
+# dividing q.  Every Gauss-table path (A_d(q, n) and the unit phase sums)
+# meets Q_CAP here, before any allocation.
 @functools.lru_cache(maxsize=64)
 def _gauss_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     if q > Q_CAP:
         raise ResourceLimitError(f"modulus {q} exceeds cap {Q_CAP}")
-    t = np.arange(1, q + 1, dtype=np.int64)
-    counts = np.bincount((t * t) % q, minlength=q).astype(np.float64)
-    # S(q, a) = sum_s counts[s] e^{+2 pi i a s / q}: the conjugate of an FFT
-    svals = np.conj(np.fft.fft(counts))
+    squares = np.arange(1, q + 1, dtype=np.int64)
+    squares *= squares
+    squares %= q
+    counts = np.bincount(squares, minlength=q).astype(np.float64)
+    del squares
     unit = np.ones(q, dtype=bool)
     for p in factorize(q):
         unit[::p] = False
     coprime = np.nonzero(unit)[0]
+    del unit
+    # S(q, a) = sum_s counts[s] e^{+2 pi i a s / q}: the conjugate of an FFT
+    unit_sums = np.fft.fft(counts)[coprime]
+    np.conjugate(unit_sums, out=unit_sums)
+    unit_sums /= q
     coprime.setflags(write=False)
-    svals.setflags(write=False)
-    return coprime, svals
+    unit_sums.setflags(write=False)
+    return coprime, unit_sums
 
 
 def _unit_phases(q: int, n: int) -> np.ndarray:
-    """e^{-2 pi i n a / q} for the units a mod q, ascending."""
+    """e^{-2 pi i n a / q} for the units a mod q, ascending.
+
+    The phase depends on a only through k = n a mod q, a multiple of
+    g = gcd(n, q), so each of the q/g multiples is exponentiated once and
+    gathered by k / g; at g = 1 there are no fewer multiples than units, and
+    each unit takes its own exponential."""
     coprime, _ = _gauss_table(q)
-    return np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)
+    k = (n % q * coprime) % q
+    g = gcd(n, q)
+    if q // g >= len(coprime):
+        return np.exp(-2j * np.pi * k / q)
+    k //= g
+    return np.exp(-2j * np.pi * np.arange(0, q, g) / q)[k]
 
 
 def a_coeff_direct(d: int, q: int, n: int) -> complex:
@@ -145,9 +169,8 @@ def a_coeff_direct(d: int, q: int, n: int) -> complex:
         raise ValidationError(f"a_coeff_direct requires n >= 0, got {n}")
     if q == 1:
         return 1 + 0j
-    coprime, svals = _gauss_table(q)
-    powered = (svals[coprime] / q) ** d
-    return complex(powered @ _unit_phases(q, n))
+    _, unit_sums = _gauss_table(q)
+    return complex(unit_sums**d @ _unit_phases(q, n))
 
 
 def a_coeff_closed(d: int, p: int, h: int, n: int) -> complex:

@@ -188,8 +188,12 @@ def _commuting(f: TestFunction, values: np.ndarray) -> TestFunction:
 
 def op_L(f: TestFunction, k: int = 1) -> TestFunction:
     """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
-    q = qmod_vector(f.p, f.d)
-    phase = np.exp(-2j * np.pi * ((k * q) % f.p) / f.p)
+    # one exponential per value of Q mod quadric_modulus(p), gathered.  The
+    # gather is bound to a name: numpy reuses a nameless temporary of 256 KiB
+    # or more as the output and puts it first, and a complex product can
+    # round differently with its operands swapped.
+    levels = np.arange(quadric_modulus(f.p), dtype=np.int64)
+    phase = np.exp(-2j * np.pi * ((k * levels) % f.p) / f.p)[qmod_vector(f.p, f.d)]
     return _commuting(f, f.values * phase)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from quadsum import theta
-from quadsum.cli import fmt_complex, fmt_real, main, parse_tau
+from quadsum.cli import _build_parser, fmt_complex, fmt_real, main, parse_tau
 from quadsum.errors import ValidationError
 from quadsum.lattice import count_range, encode_residues, enumerate_sphere
 
@@ -462,6 +462,23 @@ def test_phase_sum_output_is_byte_identical(command, capsys):
     code, out, err = run_cli(command.split(), capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PHASE_SUM_GOLDEN[command]
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    # the parser is built once; no call may leave a flag or an error behind
+    command = "density --p 2 --d 5 --n 96"
+    golden = PHASE_SUM_GOLDEN[command]
+    code, out, _ = run_cli(command.split() + ["--format", "json"], capsys)
+    assert code == 0 and all(json.loads(line)["p"] == 2 for line in out.splitlines())
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == golden  # CSV again
+    assert run_cli(["density", "--p", "2", "--d", "5"], capsys)[0] == 1  # no --n
+    assert run_cli(["no-such-command"], capsys)[0] == 1
+    code, out, err = run_cli(command.split(), capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == golden
+    assert _build_parser() is _build_parser()
 
 
 def test_write_failure_maps_to_exit_one(capsys):

@@ -3,10 +3,17 @@ literal direct summation, closed forms of the local densities, the singular
 series, and the growth/gap checks."""
 
 import cmath
+import hashlib
 import math
+import os
 import random
+import struct
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +148,70 @@ def test_a_coeff_direct_is_the_defining_sum():
         (4, 1, 5), (3, 27, 9), (5, 16, 4), (4, 45, 6),
     ]:
         assert a_coeff_direct(d, q, n) == pytest.approx(_a_coeff_oracle(d, q, n), abs=1e-10)
+
+
+def _direct_layer_grid():
+    """A seeded grid over the direct layer: a_coeff_direct at prime powers up
+    to 2^18 and a few composite moduli, local_density at p in {2, 3, 5, 7, 13},
+    and both unit phase-sum checks."""
+    rng = random.Random(19)
+    moduli = (
+        [2**k for k in range(1, 19)] + [3**k for k in range(1, 10)]
+        + [5**k for k in range(1, 7)] + [7**k for k in range(1, 6)]
+        + [13**k for k in range(1, 5)] + [12, 30, 360, 1001]
+    )
+    for q in moduli:
+        odd_2v = (2 * rng.randrange(500) + 1) << rng.randrange(19)
+        for n in (0, 1, q, 2 * q, q // 2, q - 1, rng.randrange(1, 10**9), odd_2v):
+            for d in (1, 3, 4, 5, 8):
+                yield "a", (d, q, n)
+    densities = {2: (1, 6, 96, 7 * 2**9, 3 * 2**13), 3: (1, 6, 81, 2 * 3**7),
+                 5: (1, 10, 5**4), 7: (3, 98), 13: (1, 169)}
+    for p, ns in densities.items():
+        for d in (3, 4, 5, 8):
+            for n in ns:
+                yield "density", (p, d, n)
+    for p in (3, 5, 7, 13):
+        for n in (1, 2, p, 3 * p**2, p**3):
+            yield "phase", (p, n)
+            for h in range(1, 5):
+                yield "twisted", (p, h, n)
+
+
+def _direct_layer_digest() -> str:
+    """sha256 over the doubles of every grid value, in grid order."""
+    digest = hashlib.sha256()
+    for kind, args in _direct_layer_grid():
+        if kind == "a":
+            z = a_coeff_direct(*args)
+            digest.update(struct.pack("<2d", z.real, z.imag))
+        elif kind == "density":
+            rep = local_density(*args)
+            for z in rep.terms:
+                digest.update(struct.pack("<2d", z.real, z.imag))
+            digest.update(struct.pack("<d", rep.delta))
+        else:
+            check = unit_phase_sum_check if kind == "phase" else twisted_unit_phase_sum_check
+            chk = check(*args)
+            digest.update(struct.pack("<4d?", chk.value.real, chk.value.imag,
+                                      chk.expected.real, chk.expected.imag, chk.passed))
+    return digest.hexdigest()
+
+
+# recorded before the direct layer gathered its phases and kept unit-only
+# Gauss tables; it must not change by one bit
+DIRECT_LAYER_DIGEST = "60310f15391fbb8ff26f36a9e7ec2108fa41f4fbb4b8b3118ffb49f36dae2e15"
+
+
+def test_direct_layer_is_bit_identical():
+    # a child process with one BLAS thread: past 10^4 units a threaded
+    # complex dot product sums in another order, so the digest would depend
+    # on the core count
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1", "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == DIRECT_LAYER_DIGEST
 
 
 def test_gauss_table_cache_is_bounded_and_shared_read_only():
@@ -312,6 +383,30 @@ def test_gauss_table_units_are_the_coprime_residues():
     _gauss_table.cache_clear()  # drop the large tables built here
 
 
+def test_gauss_table_keeps_only_the_units():
+    # 2^17 units of 8 + 16 bytes each (a view counts its whole base); all
+    # 2^18 Gauss sums would add 2 MiB
+    _gauss_table.cache_clear()
+    table = _gauss_table(2**18)
+    held = sum((a if a.base is None else a.base).nbytes for a in table)
+    assert held <= 2**17 * 24 + 4096
+    _gauss_table.cache_clear()
+
+
+def test_two_adic_density_peak_memory():
+    # cold cache, moduli up to 2^18: 17.8 MB peak with all Gauss sums kept
+    # and 14.7 MB with the unit sums only
+    _gauss_table.cache_clear()
+    tracemalloc.start()
+    try:
+        local_density(2, 5, 3 * 2**14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _gauss_table.cache_clear()
+    assert peak < 16_000_000
+
+
 def test_local_density_validation():
     with pytest.raises(ValidationError):
         local_density(3, 2, 1)
@@ -433,3 +528,7 @@ def test_density_gap_value_is_n_free():
     assert len(vals) == 1
     vals = {round(density_gap_check(5, 7, n).value, 9) for n in (1, 5, 25, 6)}
     assert len(vals) == 1
+
+
+if __name__ == "__main__":
+    print(_direct_layer_digest())

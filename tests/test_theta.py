@@ -19,7 +19,7 @@ import pytest
 from quadsum import theta
 from quadsum.arith import j_prime_k, jacobi_symbol
 from quadsum.errors import ResourceLimitError, ValidationError
-from quadsum.lattice import count_range, quadric_indices, residue_census
+from quadsum.lattice import count_range, qmod_vector, quadric_indices, residue_census
 from quadsum.theta import (
     INF,
     TestFunction,
@@ -187,6 +187,18 @@ def test_op_l_multiplies_by_the_quadratic_phase():
             for x in product(range(p), repeat=d):
                 want = cmath.exp(-2j * cmath.pi * k * sum(c * c for c in x) / p) * f.value_at(x)
                 assert abs(g.value_at(x) - want) <= 1e-12  # the oracle's exponent is unreduced
+
+
+def test_op_l_is_the_per_entry_phase_product_bit_for_bit():
+    # the gathered phases give the doubles of one exponential per entry, also
+    # at p = 7, d = 5, where a phase array reaches 256 KiB
+    for p, d in [(2, 5), (3, 4), (5, 3), (7, 5), (11, 2)]:
+        rng = np.random.default_rng(p * d)
+        f = TestFunction(p, d, rng.random(p**d) + 1j * rng.random(p**d))
+        q = qmod_vector(p, d)
+        for k in range(-2, p + 2):
+            phase = np.exp(-2j * np.pi * ((k * q) % p) / p)
+            assert np.array_equal(op_L(f, k).values, f.values * phase), (p, d, k)
 
 
 def test_op_m_multiplies_by_the_bit_count_phase():
