@@ -3,7 +3,7 @@ the truncated singular series, and the archimedean main term.
 
 For odd p everything has a closed form (verified against direct summation in
 the tests).  For p = 2, ``local_density`` is the finite sum of the defining
-series up to h = ord_2(n) + 4, past which every term vanishes, and the
+series up to h = ord_2(n) + 3, past which every term vanishes, and the
 singular series takes the exact value instead: an integer over a power of two
 built from primitive solution counts mod 8, rounded once.  The two agree bit
 for bit for 5 <= d <= 16 and n <= 4096; at d = 9 a few n of high 2-adic
@@ -112,7 +112,7 @@ def gauss_sum_prime_power(p: int, h: int, a: int) -> complex:
 # Per-modulus data: the units a mod q, ascending, and S(q, a) / q at each of
 # them, both read-only; the Gauss sums at the non-units are never read, so
 # they are not kept.  The bound is 64 moduli: one circle-method job list
-# (bench/workloads.py) uses 35 to 39 distinct moduli, up to 2^18, so it never
+# (bench/workloads.py) uses 34 to 38 distinct moduli, up to 2^17, so it never
 # evicts there.  The units are the residues off the multiples of the primes
 # dividing q.  Every Gauss-table path (A_d(q, n) and the unit phase sums)
 # meets Q_CAP here, before any allocation.
@@ -266,14 +266,14 @@ def local_density(p: int, d: int, n: int) -> DensityReport:
 
     Odd p: evaluated by the explicit closed form (the series is finite, terms
     vanish for h > ord_p(n) + 1).  p = 2: the direct sum of the terms
-    h = 0..ord_2(n) + 4, which is the whole series.  For h >= 2,
+    h = 0..ord_2(n) + 3, which is the whole series.  For h >= 2,
     S(2^h, a) / 2^{h/2} depends only on a mod 8, so for h >= 3 grouping the
     units a mod 2^h by their class mod 8 leaves in A_d(2^h, n) the factor
     sum_{m mod 2^{h-3}} e^{-2 pi i n m / 2^{h-3}}, which is 0 once
-    h >= ord_2(n) + 4.  The first vanishing term, h = ord_2(n) + 4, is still
-    summed (it is roundoff-sized), the ones after it are not.  This sum is
-    the oracle of the exact 2-adic factor the singular series uses, and like
-    every Gauss-table path it needs 2^{ord_2(n) + 4} <= Q_CAP.
+    h >= ord_2(n) + 4; no term from there on is computed.  This sum is the
+    oracle of the exact 2-adic factor the singular series uses, and like
+    every Gauss-table path it needs 2^{ord_2(n) + 3} <= Q_CAP, so it
+    answers up to ord_2(n) = 17.
     """
     if d < 3:
         raise ValidationError(f"local_density requires d >= 3, got {d}")
@@ -283,7 +283,7 @@ def local_density(p: int, d: int, n: int) -> DensityReport:
     o, unit = valuation(n, p)
 
     if p == 2:
-        terms = [a_coeff_direct(d, 2**h, n) for h in range(o + 5)]
+        terms = [a_coeff_direct(d, 2**h, n) for h in range(o + 4)]
         total = sum(terms)
         return DensityReport(
             p=2, d=d, n=n, terms=tuple(terms), delta=float(total.real), method="brute-force"

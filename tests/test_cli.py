@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from quadsum import theta
+from quadsum import density, theta
 from quadsum.cli import _build_parser, fmt_complex, fmt_real, main, parse_tau
 from quadsum.errors import ValidationError
 from quadsum.lattice import count_range, encode_residues, enumerate_sphere
@@ -117,7 +117,7 @@ def test_density_and_singular_and_mainterm(capsys):
 
 
 def test_mainterm_at_high_power_of_two(capsys):
-    # the direct 2-adic sum reaches n = 2^16 at most (moduli up to 2^20 = Q_CAP);
+    # the direct 2-adic sum reaches ord_2(n) = 17 at most (moduli up to 2^20 = Q_CAP);
     # the series takes the exact 2-adic factor, which has no such limit
     code, out, _ = run_cli(["mainterm", "--d", "5", "--n", "65536"], capsys)
     assert code == 0
@@ -125,11 +125,20 @@ def test_mainterm_at_high_power_of_two(capsys):
 
 
 def test_mainterm_past_the_gauss_table_cap(capsys):
-    # ord_2(131072) = 17: a direct 2-adic sum would need the modulus 2^21 > Q_CAP
+    # ord_2(131072) = 17: the series builds no Gauss table at any ord_2(n)
     code, out, err = run_cli(["mainterm", "--d", "5", "--n", "131072"], capsys)
     assert (code, err) == (0, "")
     main_term = float(out.splitlines()[1].split(",")[-1])
     assert count_range(5, 131072)[131072] / main_term == pytest.approx(1, abs=1e-3)
+
+
+def test_two_adic_density_reaches_ord_17(capsys):
+    # the terms h = 0..ord_2(n) + 3 need moduli up to 2^20 = Q_CAP
+    code, out, err = run_cli("density --p 2 --d 5 --n 131072 --format json".split(), capsys)
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [row["h"] for row in rows] == list(range(21))
+    assert {row["delta"] for row in rows} == {density._two_adic_delta(5, 131072)}
 
 
 def test_diffcheck_pass_and_fail_exit_codes(capsys):
@@ -432,8 +441,8 @@ PHASE_SUM_GOLDEN = {
         "69925d5e1bf5c1444403aeb3f7ce8d83adc7ff613f31f254a98aae9d121b5108",
     "srw --p 3 --d 2 --rmax 3 --kind random-cusp":
         "613199d6b8f9ec10e2d4f2cecd1f32f95410350d23aee10f4cc865337ecbf425",
-    "density --p 2 --d 5 --n 96":
-        "267194271619d604a597d579db016b88581b2cd96b71dc5b559c2bac66a447e7",
+    "density --p 2 --d 5 --n 96":  # the stdout then, less its last row
+        "b7ebb18b2f6f6fc6fa78a0743d50e596b69dec0af0b2bf90265cbe0bcf41d615",
     "theta-verify --p 5 --d 4 --tau 0.3+0.2i --seed 3":
         "e0c400f54419c3a597196d070b496ad76c4d41255dc9a186a65d34551429e117",
     "srw --p 5 --d 3 --rmax 3 --kind random-even --seed 4":

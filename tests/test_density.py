@@ -199,8 +199,10 @@ def _direct_layer_digest() -> str:
 
 
 # recorded before the direct layer gathered its phases and kept unit-only
-# Gauss tables; it must not change by one bit
-DIRECT_LAYER_DIGEST = "60310f15391fbb8ff26f36a9e7ec2108fa41f4fbb4b8b3118ffb49f36dae2e15"
+# Gauss tables, with each p = 2 term list cut by its last term, the
+# h = ord_2(n) + 4 term the 2-adic density no longer sums; it must not change
+# by one bit
+DIRECT_LAYER_DIGEST = "82628298fa1bfde3958a84904d03ee74f8901fff7a9036bf46ba744fd8d26f57"
 
 
 def test_direct_layer_is_bit_identical():
@@ -319,12 +321,23 @@ def test_local_density_closed_matches_partial_sums():
 def test_local_density_p2_bruteforce_path():
     rep = local_density(2, 5, 12)
     assert rep.method == "brute-force"
-    # terms cover h = 0..ord+4 at least, and the sum is real
-    assert len(rep.terms) >= 7
+    # terms cover h = 0..ord+3, and the sum is real
+    assert len(rep.terms) == 6
     assert abs(sum(rep.terms).imag) < 1e-12
     assert rep.delta == pytest.approx(sum(rep.terms).real, abs=1e-12)
-    # the next term vanishes
-    assert abs(a_coeff_direct(5, 2 ** len(rep.terms), 12)) < 1e-9
+    # The next term, h = ord + 4, is exactly 0.  Computed, it is a sum of q/2
+    # unit terms (q = 2^h) of modulus (2/q)^{d/2} each, so of absolute sum
+    # (2/q)^{d/2 - 1}; the floating-point sum of q/2 terms, each a d-th power
+    # of a table entry, stays within q d eps times that.
+    rng = random.Random(20)
+    for d in range(3, 13):
+        for v in range(15):
+            n = (2 * rng.randrange(512) + 1) << v
+            terms = local_density(2, d, n).terms
+            assert len(terms) == v + 4, (d, n)
+            q = 2 ** len(terms)
+            bound = q * d * sys.float_info.epsilon * (2 / q) ** (d / 2 - 1)
+            assert abs(a_coeff_direct(d, q, n)) <= bound, (d, n)
 
 
 def test_local_density_p2_matches_exact_reference():
@@ -332,7 +345,7 @@ def test_local_density_p2_matches_exact_reference():
     cases += [(d, 2**16) for d in (3, 5, 8)] + [(5, 3 * 2**15), (6, 2**13 * 7)]
     for d, n in cases:
         rep = local_density(2, d, n)
-        assert len(rep.terms) == (n & -n).bit_length() + 4  # h = 0..ord_2(n) + 4
+        assert len(rep.terms) == (n & -n).bit_length() + 3  # h = 0..ord_2(n) + 3
         assert rep.delta == pytest.approx(float(_two_adic_density_exact(d, n)), abs=1e-12)
 
 
@@ -351,13 +364,13 @@ def test_two_adic_delta_is_the_exact_density_rounded_once(d):
 
 @pytest.mark.parametrize("d", range(5, 9))
 def test_two_adic_delta_is_the_direct_sum_bit_for_bit(d):
-    # local_density(2, ...) is the direct sum of A_d(2^h, n), h <= ord_2(n) + 4,
-    # so it answers only while 2^{ord_2(n) + 4} <= Q_CAP
+    # local_density(2, ...) is the direct sum of A_d(2^h, n), h <= ord_2(n) + 3,
+    # so it answers only while 2^{ord_2(n) + 3} <= Q_CAP
     for n in TWO_ADIC_GRID:
         try:
             direct = local_density(2, d, n).delta
         except ResourceLimitError:
-            assert (n & -n).bit_length() - 1 > 16, n
+            assert (n & -n).bit_length() - 1 > 17, n
             continue
         assert _two_adic_delta(d, n) == direct, (d, n)
 
@@ -393,9 +406,23 @@ def test_gauss_table_keeps_only_the_units():
     _gauss_table.cache_clear()
 
 
+def test_two_adic_density_builds_no_table_past_its_last_term():
+    # ord_2(n) = 14: the terms h = 1..17 read the tables 2^1..2^17, and the
+    # vanishing h = 18 term is not summed, so 2^18 is never built
+    _gauss_table.cache_clear()
+    try:
+        local_density(2, 5, 3 * 2**14)
+        assert _gauss_table.cache_info().currsize == 17
+        hits = _gauss_table.cache_info().hits
+        _gauss_table(2**17)
+        assert _gauss_table.cache_info().hits == hits + 1
+    finally:
+        _gauss_table.cache_clear()
+
+
 def test_two_adic_density_peak_memory():
-    # cold cache, moduli up to 2^18: 17.8 MB peak with all Gauss sums kept
-    # and 14.7 MB with the unit sums only
+    # cold cache, moduli up to 2^17: 7.5 MB peak; moduli up to 2^18 took 17.8 MB
+    # with all Gauss sums kept and 14.7 MB with the unit sums only
     _gauss_table.cache_clear()
     tracemalloc.start()
     try:
