@@ -18,6 +18,9 @@ its orbit under them, the multiset of its sign classes min(r, p - r).  The
 convolution runs on those C(h + d - 1, d) class multisets, h = p//2 + 1, and
 ``rank`` maps each of the p**d residues to its multiset row, so a reader
 gathers only the columns it needs, or folds a function onto the orbits.
+Counts are held in int32 while the overflow bound of the build admits it and
+in int64 after (``orbit_census``), so a table and its expansion take 4 bytes
+a cell wherever every count is known to fit in 31 bits.
 ``residue_census`` expands the whole table to p**d columns; no library path
 calls it, it is the per-residue oracle of the tests and the benchmark checks,
 and it keeps nothing.  Only the most recent orbit table is kept: callers
@@ -264,9 +267,16 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     with c added, and each t = 0..s of class c(t mod p) adds the slice shifted
     by t^2 into their block, twice when t > 0 and -t = t mod p.  So a pass
     works on C(h+k-1, k) rows, not the h**k ordered class tuples, and every
-    shifted add is a contiguous row slice.  A new entry sums at most 2s + 1
-    entries of the previous pass, which bounds the 64-bit check before each
-    pass.  At the end the table is copied row-major.
+    shifted add is a contiguous row slice.  At the end the table is copied
+    row-major.
+
+    Each pass takes the narrowest integer type its overflow bound admits.  A
+    new entry sums at most 2s + 1 non-negative entries of the previous pass,
+    so no entry, and no partial sum on the way to it, exceeds the previous
+    maximum times 2s + 1.  The pass is int32 when that bound is at most
+    2**31 - 1, int64 when it is at most 2**63 - 1, and refused past that.
+    The maximum never falls from pass to pass, so a build is int32 up to
+    some pass and int64 after it, and ``rows`` has the width of the last.
 
     Only the most recent table is kept, as callers reuse nothing older: the
     same (d, p) with no larger nmax gets a view of it, any other request drops
@@ -287,17 +297,19 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     classes = np.arange(h)
     r = np.arange(p)
     cls = np.minimum(r, p - r)  # sign class c(r) of each residue
-    table = np.zeros((1, nmax + 1), dtype=np.int64)
+    table = np.zeros((1, nmax + 1), dtype=np.int32)
     table[0, 0] = 1
     top = np.zeros(1, dtype=np.int64)  # largest class of each row's multiset
     rank = np.zeros(1, dtype=np.int64)  # multiset row of each residue vector of the axes done
     insert = offs = None
     for _ in range(d):
-        if int(table.max()) * (2 * s + 1) > 2**63 - 1:
+        bound = int(table.max()) * (2 * s + 1)  # no entry of the new pass exceeds it
+        if bound > 2**63 - 1:
             raise ResourceLimitError("census counts may exceed the 64-bit cap")
         upto = np.searchsorted(top, classes, side="right")  # rows with largest class <= c
         before, offs = offs, np.concatenate(([0], np.cumsum(upto)))  # block of largest class c
-        new = np.zeros((offs[-1], nmax + 1), dtype=np.int64)
+        width = np.int32 if bound <= 2**31 - 1 else np.int64
+        new = np.zeros((offs[-1], nmax + 1), dtype=width)
         for t in range(s + 1):
             tsq = t * t
             c = cls[t % p]
@@ -325,7 +337,9 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     x = e mod p (base-p encoded).  The returned array is read-only.
 
     It is the orbit census expanded by one gather at the row of each residue's
-    multiset; the expanded table is built afresh on each call and never kept.
+    multiset, so it has the orbit table's width: int32 when the build's
+    overflow bound kept every pass within 31 bits, else int64.  The expanded
+    table is built afresh on each call and never kept.
     No library path calls it: it is the per-residue oracle that the tests and
     the benchmark checks compare the orbit readers with.
     """

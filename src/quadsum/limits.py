@@ -23,10 +23,11 @@ RANGE_NMAX_CAP = 10**8
 # its census counts in blocks of at most this many.
 ENTRY_CAP = 10**7
 
-# Residue census: maximum int64 cells of the kept orbit table with its rank,
+# Residue census: maximum cells of the kept orbit table with its rank,
 # (nmax + 1) * C(p//2 + d, d) + p**d, which caps every library reader, and
 # separately of one expanded residue_census table, (nmax + 1) * p**d, which
-# only the oracles build.
+# only the oracles build.  A table cell takes 4 or 8 bytes, int32 or int64
+# by the overflow bound of its build; a rank cell takes 8.
 CENSUS_CELL_CAP = 3 * 10**8
 
 # Largest modulus accepted by the exponential-sum evaluators.

@@ -186,15 +186,21 @@ def _commuting(f: TestFunction, values: np.ndarray) -> TestFunction:
     return g
 
 
-def op_L(f: TestFunction, k: int = 1) -> TestFunction:
-    """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
+def _phased(f: TestFunction, k: int, q: np.ndarray) -> TestFunction:
+    """L^k f, with ``q = qmod_vector(f.p, f.d)`` the levels of Q, so a caller
+    that applies L to many functions of one space forms them once."""
     # one exponential per value of Q mod quadric_modulus(p), gathered.  The
     # gather is bound to a name: numpy reuses a nameless temporary of 256 KiB
     # or more as the output and puts it first, and a complex product can
     # round differently with its operands swapped.
     levels = np.arange(quadric_modulus(f.p), dtype=np.int64)
-    phase = np.exp(-2j * np.pi * ((k * levels) % f.p) / f.p)[qmod_vector(f.p, f.d)]
+    phase = np.exp(-2j * np.pi * ((k * levels) % f.p) / f.p)[q]
     return _commuting(f, f.values * phase)
+
+
+def op_L(f: TestFunction, k: int = 1) -> TestFunction:
+    """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
+    return _phased(f, k, qmod_vector(f.p, f.d))
 
 
 def op_Sj(f: TestFunction, j: int) -> TestFunction:
@@ -549,10 +555,12 @@ def verify_generator_actions(
     """
     tau = complex(tau)
     p, d = f.p, f.d
+    q = qmod_vector(p, d)  # the levels of Q, for every L of the table
     cuts: dict = {}
     poisson, at_inf = _poisson(f, tau, eps, cuts)
     found = [v.value for v in _theta_values(
-        [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)] + [_component(op_L(f), 0, tau)], eps, cuts
+        [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)] + [_component(_phased(f, 1, q), 0, tau)],
+        eps, cuts,
     )]
     before, at_tau = found[:p], found[p:2 * p]
     rows = [_residual(f"alpha j={j}", before[j], at_tau[j + 1]) for j in range(p - 1)]
@@ -564,7 +572,7 @@ def verify_generator_actions(
     step = max(1, _PASS_TERMS // f.values.size)
     at_inv = []
     for lo in range(0, p - 1, step):
-        asks = [_component(op_L(op_Sj(f, (2 * jp) % p), k=(kj * jp) % p), jp, tau_inv)
+        asks = [_component(_phased(op_Sj(f, (2 * jp) % p), (kj * jp) % p, q), jp, tau_inv)
                 for jp, kj in partners[lo:lo + step]]
         at_inv += [v.value for v in _theta_values(asks, eps, cuts)]
     rows += [_residual(f"gamma j={j}", at_tau[j], w * value) for j, value in enumerate(at_inv, start=1)]

@@ -257,7 +257,7 @@ HIGH_DIMENSION = [(p, d, nmax) for p in (2, 3) for d in (7, 8) for nmax in (0, 9
 @pytest.mark.parametrize("p,d,nmax", ORACLE_GRID + HIGH_DIMENSION)
 def test_residue_census_matches_per_residue_build(p, d, nmax):
     census = residue_census(d, nmax, p)
-    assert census.shape == (nmax + 1, p**d) and census.dtype == np.int64
+    assert census.shape == (nmax + 1, p**d) and census.dtype == np.int32
     assert not census.flags.writeable
     assert np.array_equal(census, _census_by_residue(d, nmax, p))
 
@@ -281,9 +281,44 @@ def test_orbit_census_d8_fits_64_bits_to_nmax_65535():
     # the largest entry is about 7.3e12: the 64-bit check goes by the running
     # maximum of each axis pass, not by the (2s+1)^8 points of the box
     rows, rank = orbit_census(8, 2**16 - 1, 3)
+    assert rows.dtype == np.int64
     sums = rows @ np.bincount(rank)
     for n in (1, 2, 3, 4, 1000, 4096, 12345, 65535):
         assert int(sums[n]) == _jacobi_r8(n)
+
+
+# Tables that end in int32: a seeded grid, then the largest of d = 6..8 at
+# p = 2, 3, 5, whose entries reach up to a quarter of 2**31 - 1.
+_rng = np.random.default_rng(2026)
+INT32_GRID = [
+    (int(_rng.integers(1, 7)), int(_rng.choice([2, 3, 5, 7])), int(_rng.integers(0, 2**14)))
+    for _ in range(12)
+] + [(6, 2, 2**14 - 1), (7, 2, 2047), (8, 2, 511), (7, 3, 4095), (8, 3, 2047), (7, 5, 8191), (8, 5, 4095)]
+
+
+@pytest.mark.parametrize("d,p,nmax", INT32_GRID)
+def test_orbit_census_in_int32_does_not_wrap(d, p, nmax):
+    rows, rank = orbit_census(d, nmax, p)
+    assert rows.dtype == np.int32
+    assert np.array_equal(rows @ np.bincount(rank), count_range(d, nmax))
+
+
+def test_residue_census_takes_four_bytes_a_cell():
+    assert residue_census(5, 4095, 5).nbytes == 4 * 4096 * 5**5
+
+
+@pytest.mark.parametrize("nmax", [1023, 2047])
+def test_orbit_census_widens_to_int64_at_its_last_pass(nmax):
+    # the table after 7 passes is the d = 7 census, int32; its bound for the
+    # last pass crosses 2**31 - 1, so that pass is int64.  At 1023 every
+    # count still fits in 31 bits, at 2047 some do not.
+    before = orbit_census(7, nmax, 2)[0]
+    assert before.dtype == np.int32
+    assert int(before.max()) * (2 * isqrt(nmax) + 1) > 2**31 - 1
+    rows, rank = orbit_census(8, nmax, 2)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows @ np.bincount(rank), count_range(8, nmax))
+    assert np.array_equal(rows[:, rank], _census_by_residue(8, nmax, 2))
 
 
 def test_orbit_census_refuses_counts_past_64_bits():

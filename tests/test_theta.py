@@ -898,6 +898,21 @@ def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
     assert len(built) < len(evals) and len(passes) - 3 <= 3
 
 
+@pytest.mark.parametrize("p,d", [(3, 4), (5, 3), (11, 2)])
+def test_generator_table_forms_the_levels_of_q_once(p, d, monkeypatch):
+    # the table applies L to p functions of one space, all through one q
+    f = random_even_function(p, d, 4)
+    calls, qmod = [], theta.qmod_vector
+
+    def counted(*args):
+        calls.append(args)
+        return qmod(*args)
+
+    monkeypatch.setattr(theta, "qmod_vector", counted)
+    verify_generator_actions(f, 0.3 + 0.9j)
+    assert calls == [(p, d)]
+
+
 def test_generator_table_keeps_nothing_past_the_call():
     f = random_even_function(5, 3, 11)
     verify_generator_actions(f, 0.2 + 0.8j)  # f's own flags, numpy's lazy set-up
