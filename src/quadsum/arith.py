@@ -73,7 +73,7 @@ def prime_table(n: int) -> np.ndarray:
         for p in range(2, isqrt(bound) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = False
-        primes = np.flatnonzero(sieve).astype(np.int64)
+        primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
         primes.setflags(write=False)
         _sieve_bound, _primes = bound, primes
     return _primes

@@ -12,7 +12,10 @@ singular series and the main term never meet ``Q_CAP``.
 
 The direct sum A_d(q, n) stays a literal sum over the units a mod q.  Its
 per-modulus table keeps the units and S(q, a) / q at each of them, nothing
-at the non-units.  Its phases e^{-2 pi i n a / q} depend on a only through
+at the non-units.  The table is built by one in-place FFT of the square
+counts, held as complex numbers, and the units are found after the
+transform, so no float copy, second length-q output or unit mask is alive
+during it.  Its phases e^{-2 pi i n a / q} depend on a only through
 n a mod q, a multiple of gcd(n, q), so each distinct phase is exponentiated
 once and gathered; the sum is the same double as with one exponential per
 unit.
@@ -123,15 +126,20 @@ def _gauss_table(q: int) -> tuple[np.ndarray, np.ndarray]:
     squares = np.arange(1, q + 1, dtype=np.int64)
     squares *= squares
     squares %= q
-    counts = np.bincount(squares, minlength=q).astype(np.float64)
+    counts = np.bincount(squares, minlength=q).astype(np.complex128)
     del squares
+    # S(q, a) = sum_s counts[s] e^{+2 pi i a s / q}: the conjugate of an FFT,
+    # taken in place on the complex counts, with no cast copy and no second
+    # length-q output; the units are found after it, so they are not alive
+    # during it
+    np.fft.fft(counts, out=counts)
     unit = np.ones(q, dtype=bool)
     for p in factorize(q):
         unit[::p] = False
     coprime = np.nonzero(unit)[0]
     del unit
-    # S(q, a) = sum_s counts[s] e^{+2 pi i a s / q}: the conjugate of an FFT
-    unit_sums = np.fft.fft(counts)[coprime]
+    unit_sums = counts[coprime]
+    del counts
     np.conjugate(unit_sums, out=unit_sums)
     unit_sums /= q
     coprime.setflags(write=False)

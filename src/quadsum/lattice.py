@@ -159,11 +159,13 @@ def count_range(d: int, nmax: int) -> np.ndarray:
     acc = np.zeros(nmax + 1, dtype=np.int64)
     acc[0] = 1
     for _ in range(d):
-        new = np.zeros(nmax + 1, dtype=np.int64)
-        for t in range(0, s + 1):
-            w = 1 if t == 0 else 2
+        # the t = 0 term, then the shifts of the +-t terms, each adding a
+        # slice of one doubled pass
+        new = acc.copy()
+        twice = 2 * acc
+        for t in range(1, s + 1):
             tsq = t * t
-            new[tsq:] += w * acc[: nmax + 1 - tsq]
+            new[tsq:] += twice[: nmax + 1 - tsq]
         acc = new
     return acc
 

@@ -794,17 +794,32 @@ def verify_weak_modularity(
     eps_d = 1 and the factor is (c/d) (c tau + d)^{D/2}, with Shimura's
     symbol (``arith.jacobi_symbol``) and the principal square root
     (``half_power``).  Reference: G. Shimura, Ann. of Math. 97 (1973)."""
-    if not is_in_gamma(g, f.p):
-        raise ValidationError(f"matrix is not in the level-{f.p} group")
+    return _weak_modularity_residuals(f, [g], tau, eps)[0]
+
+
+def _weak_modularity_residuals(
+    f: TestFunction, gs: list, tau: complex, eps: float = DEFAULT_EPS
+) -> list[TransformResidual]:
+    """``verify_weak_modularity`` for each g of ``gs``, in order, with every g
+    checked first and theta_f(tau) evaluated once, after the first left side:
+    the same doubles as one call per g."""
+    for g in gs:
+        if not is_in_gamma(g, f.p):
+            raise ValidationError(f"matrix is not in the level-{f.p} group")
     if not f.is_even:
         raise ValidationError("verify_weak_modularity requires an even test function")
     tau = _upper_half_plane(tau, eps)
-    (a, b), (c, d) = g
-    a, b, c, d = int(a), int(b), int(c), int(d)
-    cz = c * tau + d
-    g_tau = _image_point("g tau", (a * tau + b) / cz)
-    lhs = theta_eval(f, g_tau, eps)
-    base = theta_eval(f, tau, eps)
-    # even D keeps the integer power: half_power would move some factors by an ulp
-    factor = cz ** (f.d // 2) if f.d % 2 == 0 else jacobi_symbol(c, d) * half_power(cz, f.d)
-    return _residual(f"weak-modularity c={c}", lhs, factor * base)
+    base = None
+    residuals = []
+    for g in gs:
+        (a, b), (c, d) = g
+        a, b, c, d = int(a), int(b), int(c), int(d)
+        cz = c * tau + d
+        g_tau = _image_point("g tau", (a * tau + b) / cz)
+        lhs = theta_eval(f, g_tau, eps)
+        if base is None:
+            base = theta_eval(f, tau, eps)
+        # even D keeps the integer power: half_power would move some factors by an ulp
+        factor = cz ** (f.d // 2) if f.d % 2 == 0 else jacobi_symbol(c, d) * half_power(cz, f.d)
+        residuals.append(_residual(f"weak-modularity c={c}", lhs, factor * base))
+    return residuals

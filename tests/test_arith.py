@@ -2,10 +2,12 @@
 valuation round-trips, and the inverse-pairing involution."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from quadsum import arith
 from quadsum.arith import (
     epsilon,
     epsilon_power,
@@ -208,6 +210,22 @@ def test_primes_upto_matches_is_prime_across_sieve_growth():
         assert primes_upto(n) == [m for m in range(2, n + 1) if is_prime(m)]
     table = prime_table(100)
     assert table.dtype == np.int64 and not table.flags.writeable
+
+
+def test_prime_table_peak_memory(monkeypatch):
+    # a fresh sieve of 10^6 holds its bool sieve and one int64 array of the
+    # primes at its peak: flatnonzero already gives int64, nothing is copied
+    monkeypatch.setattr(arith, "_sieve_bound", 1)
+    monkeypatch.setattr(arith, "_primes", np.empty(0, dtype=np.int64))
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        table = prime_table(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 78498 and table[-1] == 999983
+    assert peak <= bound + 8 * len(table) + 64 * 1024
 
 
 def test_residues_and_euler_criterion_for_large_n():

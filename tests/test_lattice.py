@@ -77,6 +77,22 @@ def test_count_range_agrees_with_enumeration_d5():
         assert int(counts[n]) == enumerate_sphere(5, n).count
 
 
+def test_count_range_matches_the_weighted_shift_sum():
+    # each pass adds slices of one doubled array to a copy of the last; the
+    # reference forms w * acc for every shift t
+    for d in range(1, 8):
+        for nmax in (0, 1, 5, 100, 1351, 16383):
+            s = isqrt(nmax)
+            acc = np.zeros(nmax + 1, dtype=np.int64)
+            acc[0] = 1
+            for _ in range(d):
+                new = np.zeros(nmax + 1, dtype=np.int64)
+                for t in range(s + 1):
+                    new[t * t:] += (1 if t == 0 else 2) * acc[: nmax + 1 - t * t]
+                acc = new
+            assert np.array_equal(count_range(d, nmax), acc), (d, nmax)
+
+
 def test_count_range_overflow_precheck():
     with pytest.raises(ResourceLimitError):
         count_range(8, 10**6)

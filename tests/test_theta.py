@@ -733,6 +733,26 @@ def test_weak_modularity_p2():
     assert verify_weak_modularity(f, ((1, 0), (16, 1)), 1j, eps=1e-10).residual < 1e-6
 
 
+def test_weak_modularity_residuals_share_one_base_value(monkeypatch):
+    # theta-verify asks for both of its elements at once: the same residuals
+    # as one verify_weak_modularity call per element, with theta_f(tau)
+    # evaluated once between them instead of twice
+    f = random_even_function(3, 3, 4)
+    tau, eps = 0.2 + 0.7j, 1e-10
+    gs = [((1, 1), (0, 1)), ((1, 0), (36, 1))]
+    want = [verify_weak_modularity(f, g, tau, eps) for g in gs]
+    points = []
+    real_eval = theta.theta_eval
+
+    def counting_eval(f, point, eps):
+        points.append(point)
+        return real_eval(f, point, eps)
+
+    monkeypatch.setattr(theta, "theta_eval", counting_eval)
+    assert theta._weak_modularity_residuals(f, gs, tau, eps) == want
+    assert len(points) == 3 and points.count(tau) == 1
+
+
 def test_weak_modularity_rejects_non_member():
     f = random_even_function(3, 2, 1)
     with pytest.raises(ValidationError):

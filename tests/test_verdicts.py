@@ -26,8 +26,9 @@ def _column(out: str, name: str) -> list[str]:
     return [line.split(",")[i] for line in lines[1:]]
 
 
-def _wrong_weak_modularity(f, g, tau, eps=None):
-    return theta.TransformResidual(label="weak-modularity c=0", lhs=1j, rhs=0j, residual=1.0)
+def _wrong_weak_modularity(f, gs, tau, eps=None):
+    return [theta.TransformResidual(label="weak-modularity c=0", lhs=1j, rhs=0j, residual=1.0)
+            for _ in gs]
 
 
 # (argv, module, attribute, replacement, verdict column)
@@ -39,7 +40,7 @@ FORCED_FAILURES = {
     "acoeff": (["acoeff", "--d", "4", "--p", "3", "--hmax", "1", "--nmax", "3"], density,
                "a_coeff_closed", lambda d, p, h, n: 1e6 + 0j, "match"),
     "theta-verify": (["theta-verify", "--p", "3", "--d", "2", "--tau", "0+1i", "--seed", "7"],
-                     theta, "verify_weak_modularity", _wrong_weak_modularity, "pass"),
+                     theta, "_weak_modularity_residuals", _wrong_weak_modularity, "pass"),
 }
 
 
