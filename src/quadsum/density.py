@@ -152,13 +152,11 @@ def _unit_phases(q: int, n: int) -> np.ndarray:
 
     The phase depends on a only through k = n a mod q, a multiple of
     g = gcd(n, q), so each of the q/g multiples is exponentiated once and
-    gathered by k / g; at g = 1 there are no fewer multiples than units, and
-    each unit takes its own exponential."""
+    gathered by k / g.  Each gathered double is the exponential of the same
+    product -2 pi i k / q that a per-unit exponential would take."""
     coprime, _ = _gauss_table(q)
     k = (n % q * coprime) % q
     g = gcd(n, q)
-    if q // g >= len(coprime):
-        return np.exp(-2j * np.pi * k / q)
     k //= g
     return np.exp(-2j * np.pi * np.arange(0, q, g) / q)[k]
 

@@ -15,17 +15,20 @@ it is the workhorse behind theta coefficients, histograms, and the
 equidistribution experiments.  Q is diagonal, so a count is unchanged by the
 signed coordinate permutations: it depends on a residue vector only through
 its orbit under them, the multiset of its sign classes min(r, p - r).  The
-convolution runs on those C(h + d - 1, d) class multisets, h = p//2 + 1, and
-``rank`` maps each of the p**d residues to its multiset row, so a reader
+convolution runs on those C(h + d - 1, d) class multisets, h = p//2 + 1,
+with one contiguous count row per multiset, and the table is handed out in
+that layout: ``rows`` is its transposed view, read as ``rows[n, k]``, and
+``rank`` maps each of the p**d residues to its multiset column, so a reader
 gathers only the columns it needs, or folds a function onto the orbits.
 Counts are held in int32 while the overflow bound of the build admits it and
 in int64 after (``orbit_census``), so a table and its expansion take 4 bytes
 a cell wherever every count is known to fit in 31 bits.
-``residue_census`` expands the whole table to p**d columns; no library path
-calls it, it is the per-residue oracle of the tests and the benchmark checks,
-and it keeps nothing.  Only the most recent orbit table is kept: callers
-work on one (d, p) at a time (a decay study and the check that reads it
-back, a growth scan), so no older table is reused.
+``residue_census`` expands the whole table to p**d columns, one gathered
+orbit count column per residue; no library path calls it, it is the
+per-residue oracle of the tests and the benchmark checks, and it keeps
+nothing.  Only the most recent orbit table is kept: callers work on one
+(d, p) at a time (a decay study and the check that reads it back, a growth
+scan), so no older table is reused.
 """
 
 from __future__ import annotations
@@ -255,9 +258,11 @@ def quadric_points(p: int, d: int, a: int) -> list[tuple[int, ...]]:
 
 def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The census on class multisets: ``(rows, rank)``, where ``rows`` is the
-    (nmax+1, C(h+d-1, d)) table and ``rank[e]`` the row of residue e, so that
-    ``rows[n, rank[e]]`` counts x in Z^d with Q(x,x) = n and x = e mod p
-    (base-p encoded).  Both arrays are read-only.
+    (nmax+1, C(h+d-1, d)) table and ``rank[e]`` the column of residue e, so
+    that ``rows[n, rank[e]]`` counts x in Z^d with Q(x,x) = n and x = e mod p
+    (base-p encoded).  Both arrays are read-only.  ``rows`` is the transposed
+    view of the orbit-major build table, so ``rows[:, k]`` is one contiguous
+    count column of orbit k; nothing is copied.
 
     Negating or permuting coordinates keeps Q, so the count at e depends only
     on the multiset of sign classes c(e_i) = min(e_i, p - e_i), of which there
@@ -269,8 +274,7 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     with c added, and each t = 0..s of class c(t mod p) adds the slice shifted
     by t^2 into their block, twice when t > 0 and -t = t mod p.  So a pass
     works on C(h+k-1, k) rows, not the h**k ordered class tuples, and every
-    shifted add is a contiguous row slice.  At the end the table is copied
-    row-major.
+    shifted add is a contiguous row slice.
 
     Each pass takes the narrowest integer type its overflow bound admits.  A
     new entry sums at most 2s + 1 non-negative entries of the previous pass,
@@ -327,21 +331,22 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
             insert[i, c] = offs[top[i]] + prior[i - before[top[i]], c]
         rank = insert.T[cls][:, rank].reshape(-1)  # the new axis is the slowest digit
         table, top = new, np.repeat(classes, upto)
-    rows = np.ascontiguousarray(table.T)
-    rows.setflags(write=False)
+    table.setflags(write=False)
     rank.setflags(write=False)
-    _kept_census = (d, p, rows, rank)
-    return rows, rank
+    _kept_census = (d, p, table.T, rank)
+    return table.T, rank
 
 
 def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     """(nmax+1, p**d) table: entry [n, e] counts x in Z^d with Q(x,x) = n and
     x = e mod p (base-p encoded).  The returned array is read-only.
 
-    It is the orbit census expanded by one gather at the row of each residue's
-    multiset, so it has the orbit table's width: int32 when the build's
-    overflow bound kept every pass within 31 bits, else int64.  The expanded
-    table is built afresh on each call and never kept.
+    It is the orbit census expanded by one gather of whole orbit count
+    columns, the one of each residue's multiset, returned as the transposed
+    view of the (p**d, nmax+1) gathered table; so it has the orbit table's
+    width: int32 when the build's overflow bound kept every pass within 31
+    bits, else int64.  The expanded table is built afresh on each call and
+    never kept.
     No library path calls it: it is the per-residue oracle that the tests and
     the benchmark checks compare the orbit readers with.
     """
@@ -352,9 +357,9 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     if cells > CENSUS_CELL_CAP:
         raise ResourceLimitError(f"census table of {cells} cells exceeds cap {CENSUS_CELL_CAP}")
     rows, rank = orbit_census(d, nmax, p)
-    arr = np.take(rows, rank, axis=1)
+    arr = np.take(rows.T, rank, axis=0)
     arr.setflags(write=False)
-    return arr
+    return arr.T
 
 
 def residue_histogram(d: int, n: int, p: int) -> dict[tuple[int, ...], int]:

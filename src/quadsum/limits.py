@@ -20,7 +20,8 @@ BOX_POINT_CAP = 5 * 10**8
 RANGE_NMAX_CAP = 10**8
 
 # Dense test-function storage: maximum p**d entries.  decay_study also reads
-# its census counts in blocks of at most this many.
+# its census counts in blocks of at most this many; theta_coeffs reads no
+# blocks, it contracts the orbit table one orbit column at a time.
 ENTRY_CAP = 10**7
 
 # Residue census: maximum cells of the kept orbit table with its rank,

@@ -26,7 +26,8 @@ Conventions fixed throughout:
   orbit census, which the tests use as the independent oracle for these
   values: f enters c_n only through its sums over the orbits of the signed
   coordinate permutations, so it is folded onto them once and the orbit
-  table is contracted with the K orbit sums, never expanded to p**d columns.
+  table is contracted with the K orbit sums one orbit column at a time,
+  never expanded to p**d columns and never copied.
 * A value is f contracted with one 1-d vector of partial sums that depends
   only on (p, tau_eff, cut, dual).  One evaluator, ``_theta_values``, takes
   a list of such asks (``_component`` turns theta_f^j(point) into one) and
@@ -266,8 +267,10 @@ def theta_coeffs(f: TestFunction, nmax: int) -> CoefficientSeries:
 
     Each F_k is one ``math.fsum`` of the real parts and one of the imaginary
     parts, so it is correctly rounded; the contraction with ``rows`` then adds
-    at most gamma_K for K orbits.  It runs in row blocks of at most ENTRY_CAP
-    cells, so no table of p**d columns is ever formed.
+    at most gamma_K for K orbits.  It takes one orbit column at a time,
+    c += rows[:, k] F_k in orbit order, so every c_n is the same left-to-right
+    sum of K products whatever the BLAS thread count, and neither a table of
+    p**d columns nor a complex copy of the orbit table is ever formed.
     """
     rows, rank = orbit_census(f.d, nmax, f.p)
     order = np.argsort(rank)
@@ -277,8 +280,9 @@ def theta_coeffs(f: TestFunction, nmax: int) -> CoefficientSeries:
         complex(math.fsum(re[lo:hi].tolist()), math.fsum(im[lo:hi].tolist()))
         for lo, hi in zip(bounds[:-1], bounds[1:])
     ])
-    block = max(1, ENTRY_CAP // rows.shape[1])
-    c = np.concatenate([rows[i : i + block] @ orbit_sums for i in range(0, nmax + 1, block)])
+    c = np.zeros(nmax + 1, dtype=np.complex128)
+    for column, orbit_sum in zip(rows.T, orbit_sums):
+        c += column * orbit_sum
     return CoefficientSeries(p=f.p, d=f.d, nmax=nmax, c=c)
 
 

@@ -4,7 +4,10 @@ precondition table mapping bad arguments to exit 1."""
 import hashlib
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -533,3 +536,32 @@ def test_readme_cli_commands_run(capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 0, (argv, err)
         assert out
+
+
+def _child_stdout(argv, threads):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "MKL_NUM_THREADS": threads, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    code = "import sys; from quadsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          check=True).stdout
+
+
+@pytest.mark.parametrize("command", ["theta-coeffs --p 7 --d 6 --nmax 5000 --seed 1",
+                                     "growth --d 6 --p 7 --nmax 5000 --seed 1"])
+def test_census_coefficients_do_not_depend_on_the_blas_thread_count(command):
+    # theta_coeffs adds the orbit columns in orbit order with no BLAS call,
+    # so one thread and two print the same bytes
+    argv = shlex.split(command)
+    one = _child_stdout(argv, "1")
+    assert one and _child_stdout(argv, "2") == one
+
+
+def test_bench_selftest_passes():
+    # the self-test corrupts library results the benchmark's oracles check,
+    # so a change that blunts one of those oracles fails here
+    root = Path(__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "bench/selftest.py"], cwd=root, env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "selftest passed" in out.stdout.splitlines()

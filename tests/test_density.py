@@ -21,6 +21,7 @@ import pytest
 from quadsum.density import (
     _gauss_table,
     _two_adic_delta,
+    _unit_phases,
     a_coeff_closed,
     a_coeff_direct,
     density_gap_check,
@@ -404,6 +405,22 @@ def test_gauss_table_keeps_only_the_units():
     held = sum((a if a.base is None else a.base).nbytes for a in table)
     assert held <= 2**17 * 24 + 4096
     _gauss_table.cache_clear()
+
+
+def test_unit_phases_match_one_exponential_per_unit():
+    # the q/g multiples of g = gcd(n, q), exponentiated once and gathered,
+    # are the doubles a per-unit exponential gives, at g = 1 too
+    moduli = ([2**k for k in range(1, 15)] + [3**k for k in range(1, 9)]
+              + [5**k for k in range(1, 6)] + [7**4, 12, 15, 360, 1001])
+    _gauss_table.cache_clear()
+    try:
+        for q in moduli:
+            coprime = _gauss_table(q)[0]
+            for n in [*range(40), q, 2 * q + 1, 12345, 10**6 + 3, 3**7 * 5]:
+                want = np.exp(-2j * np.pi * ((n % q * coprime) % q) / q)
+                assert np.array_equal(_unit_phases(q, n).view(np.uint64), want.view(np.uint64)), (q, n)
+    finally:
+        _gauss_table.cache_clear()
 
 
 def test_gauss_table_bits_match_the_float_transform():

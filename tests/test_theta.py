@@ -19,7 +19,7 @@ import pytest
 from quadsum import theta
 from quadsum.arith import j_prime_k, jacobi_symbol
 from quadsum.errors import ResourceLimitError, ValidationError
-from quadsum.lattice import count_range, qmod_vector, quadric_indices, residue_census
+from quadsum.lattice import count_range, orbit_census, qmod_vector, quadric_indices, residue_census
 from quadsum.theta import (
     INF,
     TestFunction,
@@ -312,7 +312,7 @@ def test_theta_coeffs_within_a_priori_bound_of_exact_sum(p, d, nmax, kind):
 
 def test_theta_coeffs_peak_memory_is_the_orbit_table():
     # the expanded product census @ f of 2001 x 5^5 cells peaks at 150 MB;
-    # the orbit table has 2001 x 21 cells, contracted one row block at a time
+    # the orbit table has 2001 x 21 cells, contracted one orbit column at a time
     f = random_even_function(5, 5, 1)
     residue_census(1, 0, 2)  # drop any kept table, so the census is built cold
     gc.collect()
@@ -323,6 +323,58 @@ def test_theta_coeffs_peak_memory_is_the_orbit_table():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_theta_coeffs_makes_no_complex_copy_of_the_orbit_table():
+    # with the table kept, the call holds its fold (the orbit order and the
+    # real and imaginary parts of f, 24 bytes a residue, and one orbit's
+    # values as Python floats) and a few coefficient vectors of 16 bytes a
+    # coefficient; a complex copy of the 84 orbit columns would take 16 * 84
+    # bytes a coefficient
+    f = random_cusp_function(7, 6, 1)
+    nmax = 20000
+    orbit_census(6, nmax, 7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        theta_coeffs(f, nmax)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20 + 32 * 7**6 + 4 * 16 * (nmax + 1)
+
+
+def _exact_orbit_contraction(f: TestFunction, rows: np.ndarray, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exact, scale): c_n = sum_k rows[n, k] S_k with S_k the exact sum of f
+    over orbit k, each part rounded once, and sum_k rows[n, k] |S_k|.  The
+    doubles of one part share the denominator of the finest among them, so
+    every sum is one Python int over it."""
+    parts, sums = [], []
+    for part in (f.values.real, f.values.imag):
+        ratios = [x.as_integer_ratio() for x in part.tolist()]
+        den = max(b for _, b in ratios)
+        num = [0] * rows.shape[1]
+        for k, (a, b) in zip(rank.tolist(), ratios):
+            num[k] += a * (den // b)
+        parts.append(np.array([float(Fraction(s, den)) for s in rows.astype(object) @ np.array(num, dtype=object)]))
+        sums.append(np.array([float(Fraction(s, den)) for s in num]))
+    return parts[0] + 1j * parts[1], rows @ np.hypot(sums[0], sums[1])
+
+
+@pytest.mark.parametrize("p,d,nmax", [(7, 6, 2000), (3, 10, 2000), (5, 8, 1000)])
+def test_theta_coeffs_orbit_columns_within_a_priori_bound(p, d, nmax):
+    # K orbit columns, each count times its orbit sum rounded and added in
+    # orbit order: gamma_K <= 2 K u of sum_k rows[n, k] |F_k| per part.  The
+    # fold puts each F_k within u |F_k| of the exact orbit sum, and the
+    # reference is rounded once, within u of the same scale.
+    u = 2.0**-53
+    f = random_cusp_function(p, d, 1)
+    c = theta_coeffs(f, nmax).c
+    rows, rank = orbit_census(d, nmax, p)
+    exact, scale = _exact_orbit_contraction(f, rows, rank)
+    bound = (2 * rows.shape[1] * u + 2 * u) * scale
+    assert np.all(np.abs(c.real - exact.real) <= bound)
+    assert np.all(np.abs(c.imag - exact.imag) <= bound)
 
 
 def test_theta_eval_hand_sum():
