@@ -103,7 +103,10 @@ def residues(n: int, moduli: np.ndarray) -> np.ndarray:
 def euler_criterion(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """a^((p-1)/2) mod p elementwise, by square and multiply in int64, for
     0 <= a < p <= PRIME_CAP: 1 or p - 1 (the Legendre symbol of a), or 0
-    when p divides a.  p = 2 gives 1."""
+    when p divides a.  p = 2 gives 1.
+
+    No library code calls it: the singular series takes its symbols (-n/p)
+    by reciprocity from the factorization of n, and this is their oracle."""
     exp = (p - 1) // 2
     out = np.ones_like(p)
     base = a

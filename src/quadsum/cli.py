@@ -100,9 +100,8 @@ def emit(schema: list[tuple[str, str]], rows: list[dict], fmt: str, path: str) -
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-_TAU_RE = re.compile(
-    r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*([+-]\s*\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)i\s*$"
-)
+_TAU_FORM = r"([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*([+-]\s*\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)i"
+_TAU_RE = re.compile(rf"^\s*{_TAU_FORM}\s*$")
 
 
 def parse_tau(text: str) -> complex:
@@ -117,6 +116,13 @@ def parse_tau(text: str) -> complex:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes a word that starts with '-' for a flag unless it
+        # looks like a negative number; a tau with a negative real part,
+        # such as --tau -3.7+0.1i, is a value too (no flag starts with a digit)
+        self._negative_number_matcher = re.compile(rf"^-\d+$|^-\d*\.\d+$|^(?=-){_TAU_FORM}\s*$")
+
     # argparse exits 2 on bad usage; the contract here is exit 1
     def error(self, message):
         self.print_usage(sys.stderr)

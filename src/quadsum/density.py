@@ -29,8 +29,15 @@ found by one capped factorization, are evaluated on their own.  The closed
 form ``_odd_delta`` takes a Python int p or an int64 array of primes, so a
 table grows by one array pass per row, and its entries are the closed
 form's own doubles: the same operations in the same order as a call at one
-prime.  The product is taken in ascending prime order, so the value is the
-same double as a per-prime evaluation of the same factors gives.
+prime.  The symbols chi come from quadratic reciprocity over that
+factorization: (-1/p) and (2/p) from the low bits of p, and (l/p) for each
+odd prime l with an odd exponent in n from an int8 table of the squares mod
+l, read at p mod l; no power is taken per prime, and a huge n never enters
+int64.  The factors are one float64 row, copied from the table and
+overwritten at 2 and at the primes dividing n, and ``factors`` is a
+read-only Mapping over it and the kept primes, not a dict per prime.  The
+product is taken left to right in ascending prime order, so the value is
+the same double as a per-prime evaluation of the same factors gives.
 
 All transcendental work is double precision.  Direct sums of <= 10**4 roots
 of unity meet every closed-form tolerance easily: ``CHECK_TOL`` = 1e-9
@@ -43,6 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import OrderedDict
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from math import gcd
 
@@ -51,13 +59,11 @@ import numpy as np
 from .arith import (
     epsilon,
     epsilon_power,
-    euler_criterion,
     factorize,
     jacobi_symbol,
     p_adic_split,
     prime_table,
     require_prime,
-    residues,
     valuation,
 )
 from .errors import ResourceLimitError, ValidationError
@@ -364,13 +370,109 @@ def _unramified_table(d: int, primes: np.ndarray, count: int) -> np.ndarray:
     return table
 
 
+# Squares mod an odd prime l are read in chunks of this many t, so a table
+# of l int8 signs is built with int64 temporaries of bounded size.
+_SQUARE_CHUNK = 2**16
+
+
+def _square_signs(ell: int) -> np.ndarray:
+    """The Legendre symbols (a/ell) for a = 0..ell-1, odd prime ell, as int8:
+    +1 at the nonzero squares, -1 at the non-squares, 0 at a = 0."""
+    signs = np.full(ell, -1, dtype=np.int8)
+    signs[0] = 0
+    half = (ell - 1) // 2  # t and ell - t have the same square
+    for lo in range(1, half + 1, _SQUARE_CHUNK):
+        t = np.arange(lo, min(lo + _SQUARE_CHUNK, half + 1), dtype=np.int64)
+        t *= t  # t < ell <= PRIME_CAP < 2^24: no int64 wrap
+        t %= ell
+        signs[t] = 1
+    return signs
+
+
+def _minus_n_symbols(ramified: dict[int, int], primes: np.ndarray) -> np.ndarray:
+    """(-n/p) as int8 +1 or -1 at every odd prime p of ``primes`` not dividing
+    n, where ``ramified`` is the factorization of n; the entries at p = 2 and
+    at the primes dividing n are not the symbol and must be overwritten.
+
+    By multiplicativity (-n/p) = (-1/p) (2/p)^a prod (l/p)^e over n = 2^a prod
+    l^e, and only odd exponents count.  Reciprocity turns each (l/p) into
+    (p/l) (-1/p)^((l-1)/2), read from the table of squares mod l at p mod l,
+    so no symbol is formed from n itself and a huge n never enters int64.
+    (-1/p) is -1 iff bit 1 of p is set (p = 3 mod 4), and (2/p) is -1 iff bit
+    1 of p ^ (p >> 1) is set (p = 3, 5 mod 8); both are read off p mod 256."""
+    odd = [ell for ell, e in ramified.items() if ell != 2 and e % 2]
+    low = primes.astype(np.int8)  # p mod 256: the low bits, reinterpreted
+    bits = np.zeros_like(low)
+    if (1 + sum(ell % 4 == 3 for ell in odd)) % 2:
+        bits ^= low
+    if ramified.get(2, 0) % 2:
+        bits ^= low ^ (low >> 1)
+    del low
+    bits &= 2
+    symbols = 1 - bits  # int8: +1 where bit 1 is clear, -1 where it is set
+    for ell in odd:
+        symbols *= _square_signs(ell)[primes % ell]
+    return symbols
+
+
+class EulerFactors(Mapping):
+    """The Euler factors of a singular series, read-only: prime -> delta_p.
+
+    Backed by the ascending int64 primes and a float64 array of the factors
+    at them, aligned; iteration gives the primes in ascending order as Python
+    ints and the factors as Python floats, the doubles of the array.  A key
+    that is not one of the primes (a composite, a prime past the bound, or a
+    non-integer) raises KeyError."""
+
+    __slots__ = ("_primes", "_deltas")
+
+    def __init__(self, primes: np.ndarray, deltas: np.ndarray):
+        self._primes = primes
+        self._deltas = deltas
+
+    def __getitem__(self, p) -> float:
+        k = int(self._primes.searchsorted(p)) if isinstance(p, (int, np.integer)) else len(self._primes)
+        if k == len(self._primes) or self._primes[k] != p:
+            raise KeyError(p)
+        return float(self._deltas[k])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._primes.tolist())
+
+    def __len__(self) -> int:
+        return len(self._primes)
+
+    def values(self) -> ValuesView:
+        return _FactorValues(self)
+
+    def items(self) -> ItemsView:
+        return _FactorItems(self)
+
+    def __repr__(self) -> str:
+        return f"EulerFactors({len(self)} primes up to {int(self._primes[-1])})"
+
+
+class _FactorValues(ValuesView):
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping._deltas.tolist())
+
+
+class _FactorItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[int, float]]:
+        return zip(self._mapping._primes.tolist(), self._mapping._deltas.tolist())
+
+
 @dataclass(frozen=True)
 class SingularSeriesValue:
+    """The truncated singular series: ``value`` is the product of the
+    ``factors``, a read-only Mapping from every prime up to the bound, in
+    ascending order, to its local density."""
+
     d: int
     n: int
     prime_cutoff: int
     value: float
-    factors: dict[int, float]
+    factors: Mapping[int, float]
 
 
 def singular_series(
@@ -379,7 +481,11 @@ def singular_series(
     """Truncated Euler product of the local densities over all primes up to
     max(prime_cutoff, largest prime factor of n).  The factor at 2 is the
     exact 2-adic density rounded once (``_two_adic_delta``), so no Gauss table
-    is built and any ord_2(n) is answered.
+    is built and any ord_2(n) is answered.  The factors at p not dividing 2n
+    are read from the unramified tables by the symbols (-n/p) of
+    ``_minus_n_symbols`` (odd d only), the others evaluated on their own, and
+    ``factors`` is the read-only Mapping over them; ``value`` is their product
+    taken left to right in ascending prime order.
 
     ResourceLimitError when that bound exceeds limits.PRIME_CAP."""
     if d < 5:
@@ -391,22 +497,24 @@ def singular_series(
     ramified = factorize(n)
     bound = max(prime_cutoff, max(ramified, default=1))
     table = prime_table(bound)
-    count = int(np.searchsorted(table, bound, side="right"))
+    count = int(table.searchsorted(bound, side="right"))
     primes = table[:count]
     unramified = _unramified_table(d, table, count)
     if d % 2 == 0:
-        deltas = unramified[0, :count]
+        deltas = unramified[0, :count].copy()
     else:
-        minus_n = (primes - residues(n, primes)) % primes
-        square = euler_criterion(minus_n, primes) == 1
-        deltas = np.where(square, unramified[0, :count], unramified[1, :count])
-    factors = dict(zip(primes.tolist(), deltas.tolist()))
-    factors[2] = _two_adic_delta(d, n)
+        deltas = np.where(_minus_n_symbols(ramified, primes) > 0, unramified[0, :count],
+                          unramified[1, :count])
+    deltas[0] = _two_adic_delta(d, n)
     for p, o in ramified.items():
         if p != 2:
-            factors[p] = _odd_delta(p, d, o, jacobi_symbol(-(n // p**o), p))
-    value = math.prod(factors.values())
-    return SingularSeriesValue(d=d, n=n, prime_cutoff=prime_cutoff, value=value, factors=factors)
+            deltas[primes.searchsorted(p)] = _odd_delta(p, d, o, jacobi_symbol(-(n // p**o), p))
+    deltas.setflags(write=False)
+    # the running product, left to right: the double math.prod gives
+    value = float(np.multiply.accumulate(deltas)[-1])
+    return SingularSeriesValue(
+        d=d, n=n, prime_cutoff=prime_cutoff, value=value, factors=EulerFactors(primes, deltas)
+    )
 
 
 def archimedean_factor(d: int, n: int) -> float:

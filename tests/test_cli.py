@@ -324,6 +324,17 @@ def test_underflowing_image_point_exits_two(capsys):
         assert "upper half plane" in err
 
 
+def test_tau_with_a_negative_real_part_is_a_value_in_both_spellings(capsys):
+    spaced = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau", "-3.7+0.1i"], capsys)
+    joined = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau=-3.7+0.1i"], capsys)
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[2] == ""
+    # still parsed as a tau, so a lower-half-plane one is refused as such
+    code, out, err = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau", "-3.7-0.1i"], capsys)
+    assert (code, out) == (1, "")
+    assert "upper half plane" in err
+
+
 def test_singular_answers_at_a_huge_n(capsys):
     # the archimedean factor overflows at this n, the series does not
     code, out, err = run_cli(["singular", "--d", "9", "--n", str(10**300)], capsys)

@@ -2,14 +2,27 @@
 be the very doubles of the per-prime Euler product: every factor equal to
 its local density, and the value equal to their sequential product."""
 
+import math
+import random
+import tracemalloc
 from collections import OrderedDict
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from quadsum import density
-from quadsum.arith import largest_prime_factor, prime_table, primes_upto
+from quadsum.arith import (
+    euler_criterion,
+    factorize,
+    is_prime,
+    largest_prime_factor,
+    prime_table,
+    primes_upto,
+    residues,
+)
 from quadsum.density import local_density, main_term, singular_series
+from quadsum.limits import PRIME_CAP
 
 CUTOFFS = (50, 101)
 
@@ -104,3 +117,73 @@ def test_main_term_is_archimedean_factor_times_series():
     for d, n in ((5, 1), (5, 1155), (6, 4096), (7, 1009), (8, 65536)):
         series = singular_series(d, n)
         assert main_term(d, n) == density.archimedean_factor(d, n) * series.value
+
+
+def _reciprocity_agrees_with_euler_criterion(n, primes):
+    symbols = density._minus_n_symbols(factorize(n), primes)
+    minus_n = (primes - residues(n, primes)) % primes
+    square = euler_criterion(minus_n, primes) == 1
+    unramified = (primes != 2) & (minus_n != 0)
+    return np.array_equal((symbols == 1)[unramified], square[unramified]) and np.isin(
+        symbols[unramified], (-1, 1)).all()
+
+
+def test_reciprocity_symbols_equal_euler_criterion_for_small_n():
+    primes = prime_table(10**4)[: len(primes_upto(10**4))]
+    bad = [n for n in range(1, 5001) if not _reciprocity_agrees_with_euler_criterion(n, primes)]
+    assert bad == []
+
+
+def _prime_below(m):
+    return next(q for q in range(m, 1, -1) if is_prime(q))
+
+
+def test_reciprocity_symbols_equal_euler_criterion_for_large_n():
+    rng = random.Random(26)
+    primes = prime_table(PRIME_CAP)
+    large_n = (
+        _prime_below(PRIME_CAP - rng.randrange(10**4)),  # a prime near 10^7
+        2**40,
+        3**20 * 7,
+        _prime_below(rng.randrange(1100, 5000)) * _prime_below(rng.randrange(5000, 10**5)),
+        _prime_below(rng.randrange(10**5, 10**6)) ** 2 * 3 * 2**5,  # an even power of a large prime
+    )
+    for n in large_n:
+        assert _reciprocity_agrees_with_euler_criterion(n, primes), n
+
+
+@pytest.mark.parametrize("d, n", [(5, 1155), (6, 4096), (7, 3**5 * 1009), (9, 1)])
+def test_factors_mapping_contract(d, n):
+    got = singular_series(d, n, 200)
+    bound = max(200, largest_prime_factor(n))
+    keys = primes_upto(bound)
+    factors = got.factors
+    assert isinstance(factors, Mapping)
+    assert list(factors) == keys and len(factors) == len(keys)
+    assert list(factors.keys()) == keys
+    values = list(factors.values())
+    assert values == [factors[p] for p in keys]
+    assert list(factors.items()) == list(zip(keys, values))
+    assert math.prod(factors.values()).hex() == got.value.hex()
+    for key in (0, 1, 4, 9, 2 * 3 * 5, -3, next(q for q in range(bound + 1, 2 * bound) if is_prime(q)), "3", 3.5):
+        with pytest.raises(KeyError):
+            factors[key]
+        assert key not in factors
+    assert factors[np.int64(3)] == factors[3]
+    with pytest.raises(TypeError):
+        factors[3] = 1.0
+    assert dict(factors) == _oracle_factors(d, n, bound)
+
+
+def test_series_memory_is_arrays_not_a_map_per_prime():
+    # warm: the sieve and the unramified table for d = 5 already cover the primes
+    n = 10**6 + 3
+    series = singular_series(5, n)
+    tracemalloc.start()
+    try:
+        singular_series(5, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 48 bytes per prime of the product, one per residue of the largest odd prime factor
+    assert peak <= 48 * len(series.factors) + largest_prime_factor(n), peak
