@@ -431,7 +431,8 @@ class EulerFactors(Mapping):
         self._deltas = deltas
 
     def __getitem__(self, p) -> float:
-        k = int(self._primes.searchsorted(p)) if isinstance(p, (int, np.integer)) else len(self._primes)
+        is_int = isinstance(p, (int, np.integer))
+        k = int(self._primes.searchsorted(p)) if is_int else len(self._primes)
         if k == len(self._primes) or self._primes[k] != p:
             raise KeyError(p)
         return float(self._deltas[k])

@@ -165,7 +165,8 @@ def test_factors_mapping_contract(d, n):
     assert values == [factors[p] for p in keys]
     assert list(factors.items()) == list(zip(keys, values))
     assert math.prod(factors.values()).hex() == got.value.hex()
-    for key in (0, 1, 4, 9, 2 * 3 * 5, -3, next(q for q in range(bound + 1, 2 * bound) if is_prime(q)), "3", 3.5):
+    next_prime = next(q for q in range(bound + 1, 2 * bound) if is_prime(q))
+    for key in (0, 1, 4, 9, 2 * 3 * 5, -3, next_prime, "3", 3.5):
         with pytest.raises(KeyError):
             factors[key]
         assert key not in factors
