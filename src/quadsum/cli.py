@@ -317,6 +317,10 @@ def _cmd_theta_coeffs(args) -> tuple[list, list]:
 def _cmd_theta_verify(args) -> tuple[list, list]:
     p, d = args.p, args.d
     require_prime(p, args.command, odd=True)
+    # a truncation looser than the tolerance the rows are judged at cannot
+    # support a verdict
+    if args.eps > TABLE1_TOL:
+        raise ValidationError(f"--eps must be <= {TABLE1_TOL}, the tolerance of the table rows, got {args.eps}")
     f = theta.random_even_function(p, d, args.seed)
     table = theta.verify_generator_actions(f, args.tau, args.eps)
     # the gamma j=0 row is the Poisson residual relabelled

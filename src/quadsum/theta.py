@@ -10,7 +10,8 @@ L reads its phase at Q(x,x) mod p, the outer sum of the 1-d squares.
 Conventions fixed throughout:
 
 * ``finite_fourier`` is the plain counting-measure transform
-  F(f)(xi) = sum_x f(x) e^{-2 pi i Q(x, xi)/p}, so F(F(f)) = p^d f(-x).
+  F(f)(xi) = sum_x f(x) e^{-2 pi i Q(x, xi)/p}, so F(F(f)) = p^d f(-x); it
+  is numpy's FFT along every axis, and no p x p matrix is ever formed.
 * Half-integral powers are always (principal sqrt)^d with
   arg(sqrt(z)) in (-pi/2, pi/2]; never exp((d/2) log z).
 * The theta component at the cusp infinity is theta of the transform of f
@@ -18,6 +19,8 @@ Conventions fixed throughout:
   p^d scale factors cancel, i.e. it equals theta_{F(f)} on the nose.  This is
   the unique normalization under which the whole generator-action table holds
   with unit cocycle values at 0 and infinity (the tests pin it numerically).
+  It is evaluated without forming F(f): f is contracted with the 1-d FFT of
+  the partial sums below.
 * Theta values factor over the coordinates, theta_f(tau) = sum_e f(e)
   prod_i vartheta_{e_i}(tau) with vartheta_k(tau) = sum_{t = k mod p}
   e^{2 pi i t^2 tau}; each 1-d sum is cut at |t| <= T and its Gaussian tail
@@ -161,22 +164,13 @@ def even_projection(f: TestFunction) -> TestFunction:
     return TestFunction(f.p, f.d, v)
 
 
-def _dft_matrix(p: int) -> np.ndarray:
-    """W[k, m] = e^{-2 pi i k m / p}, the 1-d factor of ``finite_fourier``."""
-    return np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-
-
 def finite_fourier(f: TestFunction) -> TestFunction:
-    """F(f)(xi) = sum_x f(x) e^{-2 pi i Q(x, xi)/p}, one 1-d transform per axis.
+    """F(f)(xi) = sum_x f(x) e^{-2 pi i Q(x, xi)/p}: Q is diagonal, so this is
+    numpy's d-dimensional FFT of the (p,)*d value tensor.
 
     Applying it twice gives p^d f(-x) (counting-measure normalization).
     """
-    p, d = f.p, f.d
-    w = _dft_matrix(p)
-    t = f.values.reshape((p,) * d)
-    for ax in range(d):
-        t = np.moveaxis(np.tensordot(w, t, axes=([1], [ax])), 0, ax)
-    return TestFunction(p, d, np.ascontiguousarray(t).reshape(-1))
+    return TestFunction(f.p, f.d, np.fft.fftn(f.values.reshape((f.p,) * f.d)).reshape(-1))
 
 
 def _commuting(f: TestFunction, values: np.ndarray) -> TestFunction:
@@ -442,8 +436,9 @@ def _theta_values(asks: list[tuple[TestFunction, complex, bool]], eps: float, cu
 
     theta_g = sum_e g(e) prod_i vartheta_{e_i}, so the truncated value is the
     contraction of the (p,)*d value tensor with the partial sums v along
-    every axis; for the transform, <W^{(x)d} g, v^{(x)d}> = <g, (W v)^{(x)d}>
-    contracts g with W v instead, and W multiplies the l1 norm of the 1-d
+    every axis; for the transform, with W the p-point DFT matrix,
+    <W^{(x)d} g, v^{(x)d}> = <g, (W v)^{(x)d}> contracts g with
+    W v = ``np.fft.fft(v)`` instead, and W multiplies the l1 norm of the 1-d
     tail by at most p.  The tail is ``_product_tail`` at the summed modulus
     of the computed vector.  The cut T is the smallest one whose a priori
     bound, the same product with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <=
@@ -476,7 +471,7 @@ def _theta_values(asks: list[tuple[TestFunction, complex, bool]], eps: float, cu
             for tau_eff, a in zip(batch, _partial_theta_rows(p, batch, cut)):
                 beta = _gauss_tail(tau_eff.imag, cut)
                 if dual:
-                    a, beta = _dft_matrix(p) @ a, beta * p
+                    a, beta = np.fft.fft(a), beta * p
                 a_sum = float(np.abs(a).sum())
                 for i in at[tau_eff]:
                     values[i] = _checked(_contract(asks[i][0], a, beta, a_sum, cut), eps)
@@ -552,10 +547,11 @@ def verify_generator_actions(
     ``_theta_values`` call; those at -1/(4 tau) follow in batches of the
     functions L^k S_{2j'} f, made as each batch needs them.  Every cut of
     a finite component is searched once per call.  A value at infinity
-    shares no partial sums with them (its vector is W v, its cut carries the
-    spread p); the three are read through the module's ``theta_j_eval_full``
-    when the table runs, the one at tau once for its two rows, so a wrapped
-    or corrupted ``theta_j_eval_full`` (the bench self-test) shows in them.
+    shares no partial sums with them (its vector is the FFT of v, its cut
+    carries the spread p); the three are read through the module's
+    ``theta_j_eval_full`` when the table runs, the one at tau once for its
+    two rows, so a wrapped or corrupted ``theta_j_eval_full`` (the bench
+    self-test) shows in them.
     """
     tau = complex(tau)
     p, d = f.p, f.d

@@ -147,6 +147,97 @@ def _neg_index(e, p, d):
     return out
 
 
+def _exact_phase_dft(values, p, d, freqs):
+    """sum_x values[x] e^{-2 pi i (k . x mod p)/p} at each frequency k of
+    ``freqs``: each phase is cmath.exp of its reduced exponent (k . x) mod p,
+    every real product is rounded once and each part is one math.fsum."""
+    unit = [cmath.exp(-2j * math.pi * r / p) for r in range(p)]
+    cos, sin = np.array([z.real for z in unit]), np.array([z.imag for z in unit])
+    coords = (np.arange(p**d)[:, None] // p ** np.arange(d)) % p
+    re, im = values.real, values.imag
+    out = []
+    for k in freqs:
+        r = (coords @ np.array(k)) % p
+        c, s = cos[r], sin[r]
+        out.append(complex(math.fsum(np.concatenate((re * c, -im * s)).tolist()),
+                           math.fsum(np.concatenate((re * s, im * c)).tolist())))
+    return np.array(out)
+
+
+def _frequencies(p, d, rng, most):
+    """Every frequency of (Z/pZ)^d when there are at most ``most``, else a seeded sample."""
+    if p**d <= most:
+        return [tuple((e // p**i) % p for i in range(d)) for e in range(p**d)]
+    return [tuple(int(c) for c in rng.integers(0, p, d)) for _ in range(max(1, most // p ** (d - 1)))]
+
+
+def _dual_vector(f, tau, monkeypatch):
+    """The vector a value at infinity contracts f with, and the partial sums it
+    was transformed from."""
+    seen, contract = [], theta._contract
+
+    def spy(g, a, *rest):
+        seen.append(a)
+        return contract(g, a, *rest)
+
+    monkeypatch.setattr(theta, "_contract", spy)
+    radius = theta_j_eval_full(f, INF, tau).radius
+    monkeypatch.undo()
+    return seen[0], theta._partial_theta_rows(f.p, [tau], radius)[0]
+
+
+#: the largest FFT error measured over each p's grid below, max |F - exact|
+#: over the l2 norm of the input; the p x p matrix products these transforms
+#: replaced came up to 12x farther from exact below p = 31 and 20x (p = 31)
+#: to 440x (p = 1009) from there on
+_FFT_ERROR = {3: 5.0e-16, 5: 5.1e-16, 7: 4.3e-16, 11: 6.0e-16, 13: 8.9e-16,
+              31: 8.0e-16, 101: 1.3e-15, 1009: 1.6e-15}
+
+
+@pytest.mark.parametrize("p", sorted(_FFT_ERROR))
+def test_transforms_match_exact_phases(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    errors = []
+    for d, count in ((1, 2), (2, 1)):
+        for _ in range(count):
+            f = TestFunction(p, d, rng.random(p**d) - 0.5 + 1j * (rng.random(p**d) - 0.5))
+            freqs = _frequencies(p, d, rng, 256)
+            got = finite_fourier(f).values[[sum(c * p**i for i, c in enumerate(k)) for k in freqs]]
+            errors.append(np.abs(got - _exact_phase_dft(f.values, p, d, freqs)).max() / np.linalg.norm(f.values))
+    for tau in (0.3 + 0.9j, -1.2 + 0.4j):
+        a, v = _dual_vector(random_even_function(p, 1, 3), tau, monkeypatch)
+        freqs = _frequencies(p, 1, rng, 256)
+        exact = _exact_phase_dft(v, p, 1, freqs)
+        errors.append(np.abs(a[[k for k, in freqs]] - exact).max() / np.linalg.norm(v))
+    assert max(errors) <= 2 * _FFT_ERROR[p]
+
+
+def test_transforms_at_p1009_take_no_p_by_p_workspace():
+    # a p x p transform matrix alone is 16 MB here
+    f = random_even_function(1009, 1, 3)
+    assert f.is_even and f.max_abs > 0  # f's own flags, outside the measurement
+    gc.collect()
+    for run in (lambda: theta_j_eval_full(f, INF, 0.3 + 0.9j), lambda: finite_fourier(f)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
+def test_transforms_reach_p10007():
+    # p^d is far inside ENTRY_CAP; a p x p matrix would need 1.6 GB
+    p = 10007
+    f = random_even_function(p, 1, 5)
+    twice = finite_fourier(finite_fourier(f)).values
+    neg = f.values[(-np.arange(p)) % p]
+    assert np.abs(twice - p * neg).max() <= 1e-14 * p * f.max_abs
+    value = theta_j_eval_full(f, INF, 0.3 + 0.9j)
+    assert value.tail <= 1e-12 and math.isfinite(abs(value.value))
+
+
 def test_operator_algebra():
     p, d = 5, 2
     rng = np.random.default_rng(0)
@@ -902,19 +993,27 @@ def _row_bits(rows):
     return np.array(values).tobytes() + "|".join(r.label for r in rows).encode()
 
 
+#: the rows that read a value at infinity
+_AT_INF = ("poisson", "alpha j=inf", "gamma j=0", "gamma j=inf")
+
+
 def test_verification_rows_are_bit_identical_on_a_seeded_grid():
-    # the sha256 of every double of these rows, recorded before the values of
-    # one call were evaluated as one batch
-    h = hashlib.sha256()
+    # the sha256 of every double of these rows, in two parts: the rows with
+    # no value at infinity, recorded before the values of one call were
+    # evaluated as one batch, and the rows that read one, recorded when the
+    # component at infinity took its transform from the FFT
+    finite, at_inf = hashlib.sha256(), hashlib.sha256()
     rng = random.Random(15001)
     for p, d in ((3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)):
         for _ in range(2):
             f = random_even_function(p, d, rng.randrange(2**31))
             tau = complex(rng.uniform(-2, 2), rng.uniform(0.05, 2))
-            h.update(_row_bits([verify_poisson(f, tau)]))
-            h.update(_row_bits(verify_generator_actions(f, tau)))
-            h.update(_row_bits([verify_weak_modularity(f, g, tau) for g in (((1, 1), (0, 1)), ((1, 0), (4 * p * p, 1)))]))
-    assert h.hexdigest() == "285020fea706b511ce3694cc6c2cd4e36dc82142a0884fc518d37e7121afa116"
+            rows = [verify_poisson(f, tau), *verify_generator_actions(f, tau)]
+            rows += [verify_weak_modularity(f, g, tau) for g in (((1, 1), (0, 1)), ((1, 0), (4 * p * p, 1)))]
+            finite.update(_row_bits([r for r in rows if r.label not in _AT_INF]))
+            at_inf.update(_row_bits([r for r in rows if r.label in _AT_INF]))
+    assert finite.hexdigest() == "de3e65dd2449922927bad4abaffc55f8153b504d49a610e7b6e94fa2aed01635"
+    assert at_inf.hexdigest() == "ce55c1247a5e7cbc8df73c6f3433256a94478888a4db6b41cd80169b0b294eca"
 
 
 def _table_evaluations(f, tau):
@@ -938,8 +1037,8 @@ def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
     evals = _table_evaluations(f, tau)
     needed = {(point if j == INF else (point - j) / p**2, theta_j_eval_full(g, j, point).radius)
               for g, j, point in evals}
-    built, passes, cuts, dfts = [], [], [], []
-    rows_of, cut_of, dft_of = theta._partial_theta_rows, theta._theta_cut, theta._dft_matrix
+    built, passes, cuts = [], [], []
+    rows_of, cut_of = theta._partial_theta_rows, theta._theta_cut
 
     def rows(p_, taus, cut):
         passes.append(cut)
@@ -950,20 +1049,15 @@ def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
         cuts.append(key)
         return cut_of(*key)
 
-    def dft(p_):
-        dfts.append(p_)
-        return dft_of(p_)
-
     monkeypatch.setattr(theta, "_partial_theta_rows", rows)
     monkeypatch.setattr(theta, "_theta_cut", search)
-    monkeypatch.setattr(theta, "_dft_matrix", dft)
     verify_generator_actions(f, tau)
     assert len(built) == len(set(built)) and set(built) == needed
     # the finite components search each cut once; each of the three values
     # at infinity is one theta_j_eval_full call with its own search
     finite = [key for key in cuts if key[2] == 1]
     assert len(finite) == len(set(finite))
-    assert len(cuts) - len(finite) == 3 and dfts == [p] * 3
+    assert len(cuts) - len(finite) == 3
     # the 4p + 4 evaluations need about half as many vectors, built in a few
     # passes: the summation formula's one, one for tau - 1 and tau, whose
     # finite components share their cut, and one for -1/(4 tau)
@@ -1009,24 +1103,21 @@ def test_generator_table_keeps_nothing_past_the_call():
 
 def test_generator_table_peak_memory_is_one_evaluation_at_infinity():
     # at p = 1009, d = 1 each of the 3p finite components has a cut near
-    # 2200.  The p x p transform matrix of a value at infinity sets the peak
-    # of one evaluation, about 33 MB here; the table stays within a few
-    # percent of it.  Keeping every finite component's partial sums for the
-    # whole call would double it.
+    # 2200.  A value at infinity peaks at about 0.2 MB and the whole table at
+    # 1.4 MiB, in passes of at most 2^14 terms.  Keeping every finite
+    # component's partial sums for the whole call would take 16 KB a
+    # component, 48 MB here.
     f = random_even_function(1009, 1, 3)
     tau = 0.3 + 0.9j
     assert f.is_even and f.max_abs > 0  # f's own flags, outside the measurement
     gc.collect()
     tracemalloc.start()
     try:
-        theta_j_eval_full(f, INF, tau)
-        one = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         verify_generator_actions(f, tau)
         table = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table < 1.1 * one
+    assert table < 2 * 2**20
 
 
 def test_max_abs_is_computed_once():
@@ -1041,18 +1132,21 @@ def _value_bits(values):
 
 def test_public_evaluators_are_bit_identical_on_a_seeded_grid():
     # the sha256 of value, tail and radius of theta_eval_full and of every
-    # theta_j_eval_full component, recorded before the single evaluations and
-    # the generator tables shared one evaluator
-    h = hashlib.sha256()
+    # theta_j_eval_full component, in two parts: the finite ones, recorded
+    # before the single evaluations and the generator tables shared one
+    # evaluator, and the components at infinity, recorded when they took
+    # their transform from the FFT
+    finite, at_inf = hashlib.sha256(), hashlib.sha256()
     rng = random.Random(16001)
     for p, d in ((3, 1), (3, 2), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2), (13, 1)):
         for _ in range(3):
             f = random_even_function(p, d, rng.randrange(2**31))
             tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-2.5, 0.5))
             eps = rng.choice((1e-12, 1e-8))
-            values = [theta_eval_full(f, tau, eps)] + [theta_j_eval_full(f, j, tau, eps) for j in [*range(p), INF]]
-            h.update(_value_bits(values))
-    assert h.hexdigest() == "17430872f76a7ed35b4e8bc9bf7394dcf10447e06adca6e34c88a9f1b07fac51"
+            finite.update(_value_bits([theta_eval_full(f, tau, eps)] + [theta_j_eval_full(f, j, tau, eps) for j in range(p)]))
+            at_inf.update(_value_bits([theta_j_eval_full(f, INF, tau, eps)]))
+    assert finite.hexdigest() == "c3d7a2b4a318e68c6239d5ff28227937a92f32fe859ccfa45209786a884f0292"
+    assert at_inf.hexdigest() == "0ae47fa554a6e1e368bcfd3d3884c6b48b7cc852195f709275aaf908e3e6bfa5"
 
 
 def test_generator_table_reads_infinity_through_the_public_evaluator(monkeypatch):
