@@ -31,16 +31,16 @@ Conventions fixed throughout:
   coordinate permutations, so it is folded onto them once and the orbit
   table is contracted with the K orbit sums one orbit column at a time,
   never expanded to p**d columns and never copied.
-* A value is f contracted with one 1-d vector of partial sums that depends
-  only on (p, tau_eff, cut, dual).  One evaluator, ``_theta_values``, takes
-  a list of such asks (``_component`` turns theta_f^j(point) into one) and
-  computes every theta value: the full series and a single component as
-  one ask, a generator table's finite components as a few lists.  The
-  finite components of one image point share Im tau_eff and so their cut;
-  the evaluator builds the vectors of one list together, one exponential
-  pass per bounded batch of distinct vectors, each contracted with every
-  function asked at it and dropped with its batch.  Each cut is searched
-  once per call; nothing is kept between calls.
+* A value is f contracted with one 1-d vector: the partial sums of
+  (p, tau_eff, cut, dual), permuted by S_a and phased by L^k, so the value
+  of L^k S_a f is read off f itself.  One evaluator, ``_theta_values``,
+  takes f and a list of such asks (``_component`` turns theta_f^j(point)
+  into one) and computes every theta value: the full series and a single
+  component as one ask, a generator table's finite components as two lists.
+  The finite components of one image point share Im tau_eff and so their
+  cut; the evaluator builds their partial sums together, one exponential
+  pass per bounded batch of distinct rows, dropped with its batch.  Each cut
+  is searched once per call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -159,9 +159,13 @@ def origin_indicator(p: int, d: int) -> TestFunction:
 
 
 def even_projection(f: TestFunction) -> TestFunction:
-    """(f(x) + f(-x)) / 2."""
-    v = (f.values + _scaled(f.values, f.p, f.d, -1)) / 2.0
-    return TestFunction(f.p, f.d, v)
+    """(f(x) + f(-x)) / 2, even bit for bit: each sum is symmetric in x and -x."""
+    v = _scaled(f.values, f.p, f.d, -1)
+    v += f.values
+    v /= 2.0
+    g = TestFunction(f.p, f.d, v)
+    object.__setattr__(g, "_even", True)
+    return g
 
 
 def finite_fourier(f: TestFunction) -> TestFunction:
@@ -173,36 +177,22 @@ def finite_fourier(f: TestFunction) -> TestFunction:
     return TestFunction(f.p, f.d, np.fft.fftn(f.values.reshape((f.p,) * f.d)).reshape(-1))
 
 
-def _commuting(f: TestFunction, values: np.ndarray) -> TestFunction:
-    """A new function on f's space for an operator that commutes with
-    x -> -x, so it is even exactly when f is and keeps f's evenness flag."""
-    g = TestFunction(f.p, f.d, values)
-    object.__setattr__(g, "_even", f._even)
-    return g
-
-
-def _phased(f: TestFunction, k: int, q: np.ndarray) -> TestFunction:
-    """L^k f, with ``q = qmod_vector(f.p, f.d)`` the levels of Q, so a caller
-    that applies L to many functions of one space forms them once."""
+def op_L(f: TestFunction, k: int = 1) -> TestFunction:
+    """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
     # one exponential per value of Q mod quadric_modulus(p), gathered.  The
     # gather is bound to a name: numpy reuses a nameless temporary of 256 KiB
     # or more as the output and puts it first, and a complex product can
     # round differently with its operands swapped.
     levels = np.arange(quadric_modulus(f.p), dtype=np.int64)
-    phase = np.exp(-2j * np.pi * ((k * levels) % f.p) / f.p)[q]
-    return _commuting(f, f.values * phase)
-
-
-def op_L(f: TestFunction, k: int = 1) -> TestFunction:
-    """Multiplication by the quadratic phase: (L^k f)(x) = e^{-2 pi i k Q(x,x)/p} f(x)."""
-    return _phased(f, k, qmod_vector(f.p, f.d))
+    phase = np.exp(-2j * np.pi * ((k * levels) % f.p) / f.p)[qmod_vector(f.p, f.d)]
+    return TestFunction(f.p, f.d, f.values * phase)
 
 
 def op_Sj(f: TestFunction, j: int) -> TestFunction:
     """Rescaling of the argument: (S_j f)(x) = f(j x), for 1 <= j <= p-1."""
     if not 1 <= j <= f.p - 1:
         raise ValidationError(f"op_Sj needs 1 <= j <= p-1, got j={j}, p={f.p}")
-    return _commuting(f, _scaled(f.values, f.p, f.d, j))
+    return TestFunction(f.p, f.d, _scaled(f.values, f.p, f.d, j))
 
 
 def op_M(f: TestFunction) -> TestFunction:
@@ -212,7 +202,7 @@ def op_M(f: TestFunction) -> TestFunction:
         raise ValidationError(f"op_M is defined only for p = 2, got p={f.p}")
     q = qmod_vector(2, f.d)  # already reduced mod 4
     phase = np.exp(-2j * np.pi * q / 4)
-    return _commuting(f, f.values * phase)
+    return TestFunction(f.p, f.d, f.values * phase)
 
 
 def random_even_function(p: int, d: int, seed: int) -> TestFunction:
@@ -221,8 +211,10 @@ def random_even_function(p: int, d: int, seed: int) -> TestFunction:
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    v = rng.random(p**d) + 1j * rng.random(p**d)
-    return even_projection(TestFunction(p, d, v))
+    v = np.empty(p**d, dtype=np.complex128)
+    v.real, v.imag = rng.random(p**d), rng.random(p**d)
+    v = TestFunction(p, d, v)  # drops the draw before the projection
+    return even_projection(v)
 
 
 def random_cusp_function(p: int, d: int, seed: int) -> TestFunction:
@@ -409,78 +401,87 @@ def _image_point(label: str, point: complex) -> complex:
     return point
 
 
-def _component(g: TestFunction, j: CuspIndex, point: complex) -> tuple[TestFunction, complex, bool]:
-    """The ask (g, tau_eff, dual) of the component theta_g^j(point), j in
-    {0..p-1, inf} (odd p, even g, Im(point) > 0), for ``_theta_values``.
+def _component(f: TestFunction, j: CuspIndex, point: complex) -> tuple[complex, bool, int, int]:
+    """The ask (tau_eff, dual, 1, 0) of the component theta_f^j(point), j in
+    {0..p-1, inf} (odd p, even f, Im(point) > 0), for ``_theta_values``.
 
     Finite j uses the exponent tau_eff = (point - j)/p^2; j = inf is theta of
-    the finite Fourier transform of g at point (the p^d scale of the
+    the finite Fourier transform of f at point (the p^d scale of the
     component and the 1/p^d of the Plancherel-normalized transform cancel),
-    evaluated without forming the transform.
+    evaluated without forming the transform.  Scale 1 and twist 0 ask for f
+    itself; (a, k) in their place ask for L^k S_a f, which is even with f.
     """
-    if g.p == 2:
+    if f.p == 2:
         raise ValidationError("theta components are defined for odd p only")
-    if not g.is_even:
+    if not f.is_even:
         raise ValidationError("theta components require an even test function")
     if j == INF:
-        return g, point, True
-    if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= g.p - 1:
+        return point, True, 1, 0
+    if not isinstance(j, (int, np.integer)) or not 0 <= int(j) <= f.p - 1:
         raise ValidationError(f"cusp index must be in {{0..p-1}} or '{INF}', got {j!r}")
-    return g, _image_point(f"(tau - {j})/{g.p}^2", (point - int(j)) / g.p**2), False
+    return _image_point(f"(tau - {j})/{f.p}^2", (point - int(j)) / f.p**2), False, 1, 0
 
 
-def _theta_values(asks: list[tuple[TestFunction, complex, bool]], eps: float, cuts: dict) -> list[ThetaValue]:
-    """theta_g(tau_eff) (theta_{F(g)} when ``dual``) with tail <= eps for each
-    (g, tau_eff, dual) of ``asks``: the one evaluator of theta values.  The
-    asks share one p; eps and every Im(tau_eff) > 0 are already checked.
+def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], eps: float, cuts: dict) -> list[ThetaValue]:
+    """theta_g(tau_eff) (theta_{F(g)} when ``dual``), g = L^k S_a f, with
+    tail <= eps for each (tau_eff, dual, a, k) of ``asks``: the one evaluator
+    of theta values.  eps and every Im(tau_eff) > 0 are already checked.
 
     theta_g = sum_e g(e) prod_i vartheta_{e_i}, so the truncated value is the
     contraction of the (p,)*d value tensor with the partial sums v along
     every axis; for the transform, with W the p-point DFT matrix,
     <W^{(x)d} g, v^{(x)d}> = <g, (W v)^{(x)d}> contracts g with
     W v = ``np.fft.fft(v)`` instead, and W multiplies the l1 norm of the 1-d
-    tail by at most p.  The tail is ``_product_tail`` at the summed modulus
-    of the computed vector.  The cut T is the smallest one whose a priori
-    bound, the same product with sum_{|t| <= T} |e^{2 pi i t^2 tau}| <=
-    1 + 1/sqrt(2 Im tau) (times p for the transform) in place of the computed
-    summed modulus, is at most eps (``_theta_cut``); the reported tail never
-    exceeds it, so one evaluation at T suffices.
+    tail by at most p.  S_a permutes the residues of each coordinate and L^k
+    multiplies each by its own phase, so <L^k S_a f, v^{(x)d}> =
+    <f, w^{(x)d}> with w_m = e^{-2 pi i k u^2/p} v_u, u = a^{-1} m mod p:
+    every value is a contraction of f itself, and no g is formed.  The tail
+    is ``_product_tail`` at the summed modulus of w.  The cut T is the
+    smallest one whose a priori bound, the same product with
+    sum_{|t| <= T} |e^{2 pi i t^2 tau}| <= 1 + 1/sqrt(2 Im tau) (times p for
+    the transform) in place of the computed summed modulus, is at most eps
+    (``_theta_cut``); the reported tail never exceeds it, so one evaluation
+    at T suffices.
 
-    Each cut is searched once per (max|g|, d, spread, Im tau_eff) and kept in
-    ``cuts``, the searches of the calling check, so the finite components of
-    one image point, which share Im tau_eff, share one cut per max|g|.  The
-    asks with one cut and ``dual`` share their partial sums: each distinct
-    tau_eff gets one row, built in ``_partial_theta_rows`` passes of at most
-    ``_PASS_TERMS`` terms and sums (one row where it alone has more),
-    contracted with every function asked at it and dropped with its pass.
-    The caller bounds the functions that ``asks`` holds.
+    Each cut is searched once per (spread, Im tau_eff) and kept in ``cuts``,
+    the searches of the calling check, so the finite components of one image
+    point, which share Im tau_eff, share one cut.  The asks with one cut and
+    ``dual`` share their partial sums: each distinct tau_eff gets one row,
+    built in ``_partial_theta_rows`` passes of at most ``_PASS_TERMS`` terms
+    and sums (one row where it alone has more), turned into the vector w of
+    every ask at it and dropped with its pass.
     """
     values = [ThetaValue(0j, 0.0, 0)] * len(asks)
-    users: dict[tuple[int, bool], dict[complex, list[int]]] = {}
-    for i, (g, tau_eff, dual) in enumerate(asks):
-        if g.max_abs != 0.0:
-            key = (g.max_abs, g.d, g.p if dual else 1, tau_eff.imag)
-            if key not in cuts:
-                cuts[key] = _theta_cut(*key, eps)
-            users.setdefault((cuts[key], dual), {}).setdefault(tau_eff, []).append(i)
+    if f.max_abs == 0.0:
+        return values
+    p = f.p
+    m = np.arange(p)
+    roots = np.exp(-2j * np.pi * m / p)  # e^{-2 pi i m/p}, gathered at k u^2 mod p
+    users: dict[tuple[int, bool], dict[complex, list[tuple[int, int, int]]]] = {}
+    for i, (tau_eff, dual, scale, twist) in enumerate(asks):
+        key = (p if dual else 1, tau_eff.imag)
+        if key not in cuts:
+            cuts[key] = _theta_cut(f.max_abs, f.d, *key, eps)
+        users.setdefault((cuts[key], dual), {}).setdefault(tau_eff, []).append((i, scale, twist))
     for (cut, dual), at in users.items():
-        p, taus = asks[0][0].p, list(at)
+        taus = list(at)
         step = max(1, _PASS_TERMS // max(p, 2 * cut + 1))
         for lo in range(0, len(taus), step):
             batch = taus[lo:lo + step]
-            for tau_eff, a in zip(batch, _partial_theta_rows(p, batch, cut)):
+            for tau_eff, v in zip(batch, _partial_theta_rows(p, batch, cut)):
                 beta = _gauss_tail(tau_eff.imag, cut)
                 if dual:
-                    a, beta = np.fft.fft(a), beta * p
-                a_sum = float(np.abs(a).sum())
-                for i in at[tau_eff]:
-                    values[i] = _checked(_contract(asks[i][0], a, beta, a_sum, cut), eps)
+                    v, beta = np.fft.fft(v), beta * p
+                for i, scale, twist in at[tau_eff]:
+                    u = (pow(scale, -1, p) * m) % p
+                    w = roots[twist * (u * u % p) % p] * v[u]
+                    values[i] = _checked(_contract(f, w, beta, float(np.abs(w).sum()), cut), eps)
     return values
 
 
 def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
     """theta_f(tau) = sum_{x in Z^d} f(x mod p) e^{2 pi i Q(x,x) tau}, truncated."""
-    return _theta_values([(f, _upper_half_plane(tau, eps), False)], eps, {})[0]
+    return _theta_values(f, [(_upper_half_plane(tau, eps), False, 1, 0)], eps, {})[0]
 
 
 def theta_eval(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> complex:
@@ -491,7 +492,7 @@ def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = 
     """The component theta_f^j(tau) for j in {0..p-1, inf} (odd p, even f):
     theta_f at (tau - j)/p^2 for finite j, theta_{F(f)} at tau for j = inf
     (``_component``)."""
-    return _theta_values([_component(f, j, _upper_half_plane(tau, eps))], eps, {})[0]
+    return _theta_values(f, [_component(f, j, _upper_half_plane(tau, eps))], eps, {})[0]
 
 
 def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:
@@ -521,7 +522,7 @@ def _poisson(f: TestFunction, tau: complex, eps: float, cuts: dict) -> tuple[Tra
     """The residual of the summation identity with its left side theta_f^inf(tau)."""
     lhs = theta_j_eval(f, INF, tau, eps)
     tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
-    rhs = half_power(1j / (2 * tau), f.d) * _theta_values([_component(f, 0, tau_inv)], eps, cuts)[0].value
+    rhs = half_power(1j / (2 * tau), f.d) * _theta_values(f, [_component(f, 0, tau_inv)], eps, cuts)[0].value
     return _residual("poisson", lhs, rhs), lhs
 
 
@@ -542,39 +543,34 @@ def verify_generator_actions(
 
     The ``gamma j=0`` row is the summation identity's residual relabelled,
     evaluated first, so a failing input raises what ``verify_poisson``
-    would.  The finite components at tau - 1 and tau, theta_f^j(tau) once
-    for its alpha and its gamma row, share their partial sums through one
-    ``_theta_values`` call; those at -1/(4 tau) follow in batches of the
-    functions L^k S_{2j'} f, made as each batch needs them.  Every cut of
-    a finite component is searched once per call.  A value at infinity
-    shares no partial sums with them (its vector is the FFT of v, its cut
-    carries the spread p); the three are read through the module's
+    would.  Every finite component is a ``_theta_values`` ask on f itself:
+    the component of L f is f's with twist 1, and the component j' of
+    L^k S_{2j'} f is f's with scale 2j' and twist k.  The finite components
+    at tau - 1 and tau, theta_f^j(tau) once for its alpha and its gamma
+    row, share their partial sums through one call; those at -1/(4 tau)
+    follow in a second call that shares its cut searches.  A value at
+    infinity shares no partial sums with them (its vector is the FFT of v,
+    its cut carries the spread p); the three are read through the module's
     ``theta_j_eval_full`` when the table runs, the one at tau once for its
     two rows, so a wrapped or corrupted ``theta_j_eval_full`` (the bench
     self-test) shows in them.
     """
     tau = complex(tau)
     p, d = f.p, f.d
-    q = qmod_vector(p, d)  # the levels of Q, for every L of the table
     cuts: dict = {}
     poisson, at_inf = _poisson(f, tau, eps, cuts)
-    found = [v.value for v in _theta_values(
-        [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)] + [_component(_phased(f, 1, q), 0, tau)],
-        eps, cuts,
-    )]
+    asks = [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)]
+    # the last ask is theta_{L f}^0(tau): f's component 0 at tau with twist 1
+    found = [v.value for v in _theta_values(f, asks + [_component(f, 0, tau)[:2] + (1, 1)], eps, cuts)]
     before, at_tau = found[:p], found[p:2 * p]
     rows = [_residual(f"alpha j={j}", before[j], at_tau[j + 1]) for j in range(p - 1)]
     rows.append(_residual("alpha j=p-1", before[p - 1], found[2 * p]))
     rows.append(_residual("alpha j=inf", theta_j_eval(f, INF, tau - 1, eps), at_inf))
     w = half_power(1j / (2 * tau), d)
     tau_inv = -1 / (4 * tau)  # checked by _poisson
-    partners = [j_prime_k(j, p) for j in range(1, p)]
-    step = max(1, _PASS_TERMS // f.values.size)
-    at_inv = []
-    for lo in range(0, p - 1, step):
-        asks = [_component(_phased(op_Sj(f, (2 * jp) % p), (kj * jp) % p, q), jp, tau_inv)
-                for jp, kj in partners[lo:lo + step]]
-        at_inv += [v.value for v in _theta_values(asks, eps, cuts)]
+    asks = [_component(f, jp, tau_inv)[:2] + ((2 * jp) % p, (kj * jp) % p)
+            for jp, kj in (j_prime_k(j, p) for j in range(1, p))]
+    at_inv = [v.value for v in _theta_values(f, asks, eps, cuts)]
     rows += [_residual(f"gamma j={j}", at_tau[j], w * value) for j, value in enumerate(at_inv, start=1)]
     rows.append(replace(poisson, label="gamma j=0"))
     rows.append(

@@ -447,14 +447,16 @@ def test_coefficient_commands_reach_past_the_expanded_census(command, capsys):
 # the field formats each got one helper; it must not change by one byte.  The
 # theta-verify entries were re-pinned when the component at infinity took its
 # transform from the FFT: only the rows that read a value at infinity moved,
-# by roundoff, and no verdict did
+# by roundoff, and no verdict did.  They were re-pinned again when every
+# generator-table value was read off f itself: only the rows alpha j=p-1 and
+# gamma j=1..p-1 moved, by roundoff, and no verdict did
 PHASE_SUM_GOLDEN = {
     "gauss --q 27 --amax 8":
         "c07361705632a029abd3f7c9663638483c4de59c6858d727486f606545dbe1d5",
     "acoeff --d 4 --p 3 --hmax 4 --nmax 20":
         "fe356e48966f0ed7c814099a915229fb9022024a962c0b84cc6dba9e56020441",
     "theta-verify --p 3 --d 2 --tau 0+1i --eps 1e-12 --seed 7":
-        "3b5e180160b762cd5eb524fecbdedba3ccd5f1be5c68109ab40b0de3c3d59619",
+        "7ae4fcac7272876ebc3f95dd2d5ad4181e5f2cb4d759207b5eeb2e9cce1e9a8c",
     "cusp-check --p 5 --d 3 --kind random-cusp --seed 2":
         "69925d5e1bf5c1444403aeb3f7ce8d83adc7ff613f31f254a98aae9d121b5108",
     "srw --p 3 --d 2 --rmax 3 --kind random-cusp":
@@ -462,25 +464,25 @@ PHASE_SUM_GOLDEN = {
     "density --p 2 --d 5 --n 96":  # the stdout then, less its last row
         "b7ebb18b2f6f6fc6fa78a0743d50e596b69dec0af0b2bf90265cbe0bcf41d615",
     "theta-verify --p 5 --d 4 --tau 0.3+0.2i --seed 3":
-        "8ba433a1ebcd7bf5b3c1e6a91961ff43829016bfd9af45b896c88307a66b741b",
+        "42b26930f30c2b972ecf802421ad9f7e9f81d0f11be636db4d029f801fee0f2a",
     "srw --p 5 --d 3 --rmax 3 --kind random-even --seed 4":
         "ad585526ca1a473d0b988d58a0085ec131edeca813be5d8fff2124a32a897e5a",
     "theta-verify --p 5 --d 4 --tau 0.3+0.2i --seed 3 --format json":
-        "869fa59d4abc1562a0e92e7a83da28f0b65b90c5989af6fed6f1b876bdbc649e",
+        "708648b0deb7521cf8c26e7240cc051749dadffa399c36171abda7445f57261f",
     "theta-verify --p 7 --d 2 --tau 0.2+0.7i --seed 5":
-        "b3ccfc27b2d6738d37e75f85e19c63f9b48357b36eb94876a9d15de660d038c2",
+        "2f780169b98f2f8b0bfc3f1cd24165f18114f4fa129f78093080992a44045fb0",
     "theta-verify --p 11 --d 2 --tau 0+1i --seed 1":
-        "ab372ad6c2beeefd640a489f5fd7363d47683f22b1f1e15f9b8653efb4c2c879",
+        "4f170cce823bbeaa59cd27f7fba5c2c8042873c08c4777151a6c21def207700b",
     "theta-verify --p 13 --d 2 --tau 0.4+0.9i --seed 2":
-        "901dcd639f22bd03b2e2bb5eff2f9f06cc4c5f07e5abd2778af08cc5aa2a3c93",
+        "9dd0703f4f206b5789f58c73f0dd2b2a44a1705a7c346adc46888635031cc3f5",
     "theta-verify --p 3 --d 3 --tau 0.1+0.6i --seed 4":
-        "cfe1545a72716a3cfeecb6d917ccb9ca900440a2595ac2ed9c2c4fec7c858f3e",
+        "7b986e0994cc7d5bf88021c555f8d0c45ae89c52e4504a99e709119f076a3a67",
     "theta-verify --p 5 --d 5 --tau 0+1i --seed 6":
-        "4b1abfe02dfe1d17f6988d2a86eb9b242bdec22e286684411a045bcc37fe4410",
+        "62b8157926d0cca35073db7311784cc67d6cd622e75dae0b29ec358df7441985",
     "theta-verify --p 3 --d 4 --tau 0.01+0.05i --seed 8":
-        "e7848951baedd3c763057c7e561db1252a2acf444ba8080ab53371ef90dd3ef0",
+        "10f98644b4112cd0da89f2143084413be7678eab6610b78f46222a03253e8576",
     "theta-verify --p 7 --d 3 --tau 0.3+0.5i --seed 9 --format json":
-        "cb0968cd679fce752d01e1484ed5b232d276142bbbc299e5b1a050af76af9519",
+        "929250d7bdfdf3d9fb8fa7b9c7adb5f7761ac778c31c7d06289d36c3acabfbf2",
 }
 
 

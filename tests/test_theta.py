@@ -48,7 +48,7 @@ from quadsum.theta import (
     verify_poisson,
     verify_weak_modularity,
 )
-from quadsum.limits import THETA_CUT_CAP
+from quadsum.limits import DEFAULT_EPS, THETA_CUT_CAP
 from quadsum.theta import _gauss_tail, _product_tail, _theta_cut
 
 
@@ -309,8 +309,7 @@ def test_operators_carry_the_evenness_flag():
         for f in (raw, even):
             images = [op_L(f, 2), op_Sj(f, p - 1)] + ([op_M(f)] if p == 2 else [op_L(op_Sj(f, 2), 3)])
             for g in images:
-                assert g._even is not None  # copied, not left to be recomputed
-                assert g._even == TestFunction(p, d, g.values).is_even == f.is_even
+                assert g.is_even == TestFunction(p, d, g.values).is_even == f.is_even
 
 
 def test_op_m_p2_only():
@@ -999,9 +998,9 @@ _AT_INF = ("poisson", "alpha j=inf", "gamma j=0", "gamma j=inf")
 
 def test_verification_rows_are_bit_identical_on_a_seeded_grid():
     # the sha256 of every double of these rows, in two parts: the rows with
-    # no value at infinity, recorded before the values of one call were
-    # evaluated as one batch, and the rows that read one, recorded when the
-    # component at infinity took its transform from the FFT
+    # no value at infinity, recorded when the table read the components of
+    # L f and L^k S_a f off f itself, and the rows that read one, recorded
+    # when the component at infinity took its transform from the FFT
     finite, at_inf = hashlib.sha256(), hashlib.sha256()
     rng = random.Random(15001)
     for p, d in ((3, 1), (3, 2), (3, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2), (13, 2)):
@@ -1012,7 +1011,7 @@ def test_verification_rows_are_bit_identical_on_a_seeded_grid():
             rows += [verify_weak_modularity(f, g, tau) for g in (((1, 1), (0, 1)), ((1, 0), (4 * p * p, 1)))]
             finite.update(_row_bits([r for r in rows if r.label not in _AT_INF]))
             at_inf.update(_row_bits([r for r in rows if r.label in _AT_INF]))
-    assert finite.hexdigest() == "de3e65dd2449922927bad4abaffc55f8153b504d49a610e7b6e94fa2aed01635"
+    assert finite.hexdigest() == "35eef753a353dd580fdcc313c536ac5312f12d1b46489c7d3e5a8812538561ea"
     assert at_inf.hexdigest() == "ce55c1247a5e7cbc8df73c6f3433256a94478888a4db6b41cd80169b0b294eca"
 
 
@@ -1065,18 +1064,58 @@ def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 3), (11, 2)])
-def test_generator_table_forms_the_levels_of_q_once(p, d, monkeypatch):
-    # the table applies L to p functions of one space, all through one q
+def test_generator_table_forms_no_function_but_f(p, d, monkeypatch):
+    # every component of L f and L^k S_a f is read off f itself: the table
+    # constructs no TestFunction and reads no levels of Q
     f = random_even_function(p, d, 4)
-    calls, qmod = [], theta.qmod_vector
+    assert f.is_even and f.max_abs > 0  # f's own flags, outside the count
+    made, levels = [], []
+    init, qmod = TestFunction.__init__, theta.qmod_vector
 
-    def counted(*args):
-        calls.append(args)
+    def counted_init(self, *args):
+        made.append(args[:2])
+        init(self, *args)
+
+    def counted_qmod(*args):
+        levels.append(args)
         return qmod(*args)
 
-    monkeypatch.setattr(theta, "qmod_vector", counted)
+    monkeypatch.setattr(TestFunction, "__init__", counted_init)
+    monkeypatch.setattr(theta, "qmod_vector", counted_qmod)
     verify_generator_actions(f, 0.3 + 0.9j)
-    assert calls == [(p, d)]
+    assert made == [] and levels == []
+
+
+def test_generator_table_peak_memory_holds_no_derived_function():
+    # f holds 14.8 MB at p = 31, d = 4; p - 1 functions of that size, even
+    # made a few at a time, would take several times this bound
+    f = random_even_function(31, 4, 2)
+    assert f.is_even and f.max_abs > 0  # f's own flags, outside the measurement
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_generator_actions(f, 0.2 + 0.8j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_twisted_asks_match_the_operator_path():
+    # the component j of L^k S_a f, read off f by one twisted ask, against the
+    # same component of the function the public operators form
+    rng = random.Random(28001)
+    for p in (3, 5, 7, 11, 31):
+        for d in (1, 2, 3):
+            f = random_even_function(p, d, rng.randrange(2**31))
+            tau = complex(rng.uniform(-2, 2), rng.uniform(0.1, 1.5))
+            for point in (tau, tau - 1, -1 / (4 * tau)):
+                for _ in range(3):
+                    a, k, j = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
+                    ask = theta._component(f, j, point)[:2] + (a, k)
+                    got = theta._theta_values(f, [ask], DEFAULT_EPS, {})[0].value
+                    want = theta_j_eval_full(op_L(op_Sj(f, a), k), j, point).value
+                    assert abs(got - want) <= 1e-13 * abs(want), (p, d, a, k, j, point)
 
 
 def test_generator_table_keeps_nothing_past_the_call():
