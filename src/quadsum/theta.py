@@ -36,7 +36,7 @@ Conventions fixed throughout:
   of L^k S_a f is read off f itself.  One evaluator, ``_theta_values``,
   takes f and a list of such asks (``_component`` turns theta_f^j(point)
   into one) and computes every theta value: the full series and a single
-  component as one ask, a generator table's finite components as two lists.
+  component as one ask, each identity check's finite values as one list.
   The finite components of one image point share Im tau_eff and so their
   cut; the evaluator builds their partial sums together, one exponential
   pass per bounded batch of distinct rows, dropped with its batch.  Each cut
@@ -146,9 +146,9 @@ class TestFunction:
         return f"TestFunction(p={self.p}, d={self.d}, even={self.is_even})"
 
 
-def constant_function(p: int, d: int, value: complex = 1.0) -> TestFunction:
+def constant_function(p: int, d: int) -> TestFunction:
     _require_space(p, d)
-    return TestFunction(p, d, np.full(p**d, value, dtype=np.complex128))
+    return TestFunction(p, d, np.ones(p**d, dtype=np.complex128))
 
 
 def origin_indicator(p: int, d: int) -> TestFunction:
@@ -329,11 +329,12 @@ def _theta_cut(m: float, d: int, spread: int, y: float, eps: float) -> int:
     eps, with a = spread (1 + 1/sqrt(2 y)) bounding the summed modulus;
     ResourceLimitError when THETA_CUT_CAP falls short.
 
-    The search starts where the leading Gaussian term of prior(T),
-    2 m d spread a^{d-1} e^{-2 pi y (T+1)^2}, meets eps.  It then steps up or
-    down to a bracket that bisection closes.  The steps double, since plain
-    unit steps from that start take up to 5e5 of them at Im(tau) near 1e-12.
-    prior decreases in T, so any bracketing order finds the same T.
+    The leading Gaussian term of prior(T), 2 m d spread a^{d-1}
+    e^{-2 pi y (T+1)^2}, never exceeds prior(T), so the cut where it meets
+    eps is a lower bound on T; the bracket starts two below it, so rounding
+    cannot skip T, and steps up to a bracket that bisection closes.  The
+    steps double, since plain unit steps from that start take up to 5e5 of
+    them at Im(tau) near 1e-12.
     """
     a_bound = spread * (1.0 + 1.0 / math.sqrt(2.0 * y))
 
@@ -346,12 +347,9 @@ def _theta_cut(m: float, d: int, spread: int, y: float, eps: float) -> int:
     log_ratio = math.log(2.0 * d * spread) + math.log(m) - math.log(eps) + (d - 1) * math.log(a_bound)
     reach = math.sqrt(max(log_ratio, 0.0) / (TWO_PI * y))
     cut = max(0, math.ceil(min(reach, THETA_CUT_CAP)) - 1)
-    lo, step = cut - 1, 1
+    lo, step = max(cut - 2, -1), 1
     while prior(cut) > eps:
         lo, cut = cut, min(cut + step, THETA_CUT_CAP)
-        step *= 2
-    while lo >= 0 and prior(lo) <= eps:
-        lo, cut = max(lo - step, -1), lo
         step *= 2
     # prior(cut) <= eps < prior(lo), with prior(-1) read as infinite
     while cut - lo > 1:
@@ -379,11 +377,13 @@ def _checked(res: ThetaValue, eps: float) -> ThetaValue:
 
 
 def _upper_half_plane(tau: complex, eps: float) -> complex:
-    """tau as a complex number, once eps and Im(tau) are checked: the usage
+    """tau as a complex number, once eps and tau are checked: the usage
     errors of every theta evaluation, raised before any image point is made."""
     if not 0 < eps < math.inf:
         raise ValidationError(f"eps must be positive and finite, got {eps}")
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValidationError(f"tau must be finite, got {tau}")
     if tau.imag <= 0:
         raise ValidationError(f"Im(tau) must be positive, got {tau}")
     return tau
@@ -422,10 +422,12 @@ def _component(f: TestFunction, j: CuspIndex, point: complex) -> tuple[complex, 
     return _image_point(f"(tau - {j})/{f.p}^2", (point - int(j)) / f.p**2), False, 1, 0
 
 
-def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], eps: float, cuts: dict) -> list[ThetaValue]:
+def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], eps: float) -> list[ThetaValue]:
     """theta_g(tau_eff) (theta_{F(g)} when ``dual``), g = L^k S_a f, with
     tail <= eps for each (tau_eff, dual, a, k) of ``asks``: the one evaluator
-    of theta values.  eps and every Im(tau_eff) > 0 are already checked.
+    of theta values.  eps and every Im(tau_eff) > 0 are already checked; an
+    ask whose largest phase 2 pi i T^2 tau_eff overflows is refused with
+    ResourceLimitError before any exponential is taken.
 
     theta_g = sum_e g(e) prod_i vartheta_{e_i}, so the truncated value is the
     contraction of the (p,)*d value tensor with the partial sums v along
@@ -443,13 +445,12 @@ def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], e
     (``_theta_cut``); the reported tail never exceeds it, so one evaluation
     at T suffices.
 
-    Each cut is searched once per (spread, Im tau_eff) and kept in ``cuts``,
-    the searches of the calling check, so the finite components of one image
-    point, which share Im tau_eff, share one cut.  The asks with one cut and
-    ``dual`` share their partial sums: each distinct tau_eff gets one row,
-    built in ``_partial_theta_rows`` passes of at most ``_PASS_TERMS`` terms
-    and sums (one row where it alone has more), turned into the vector w of
-    every ask at it and dropped with its pass.
+    Each cut is searched once per (spread, Im tau_eff) in a call, so the
+    finite components of one image point, which share Im tau_eff, share one
+    cut.  The asks with one cut and ``dual`` share their partial sums: each
+    distinct tau_eff gets one row, built in ``_partial_theta_rows`` passes of
+    at most ``_PASS_TERMS`` terms and sums (one row where it alone has more),
+    turned into the vector w of every ask at it and dropped with its pass.
     """
     values = [ThetaValue(0j, 0.0, 0)] * len(asks)
     if f.max_abs == 0.0:
@@ -457,11 +458,15 @@ def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], e
     p = f.p
     m = np.arange(p)
     roots = np.exp(-2j * np.pi * m / p)  # e^{-2 pi i m/p}, gathered at k u^2 mod p
+    cuts: dict[tuple[int, float], int] = {}
     users: dict[tuple[int, bool], dict[complex, list[tuple[int, int, int]]]] = {}
     for i, (tau_eff, dual, scale, twist) in enumerate(asks):
         key = (p if dual else 1, tau_eff.imag)
         if key not in cuts:
             cuts[key] = _theta_cut(f.max_abs, f.d, *key, eps)
+        # the largest phase of the partial sums, t = cut (t = 0 at cut 0)
+        if not cmath.isfinite(2j * math.pi * tau_eff * max(cuts[key], 1) ** 2):
+            raise ResourceLimitError(f"the phases 2 pi i t^2 tau at tau = {tau_eff} overflow in double precision")
         users.setdefault((cuts[key], dual), {}).setdefault(tau_eff, []).append((i, scale, twist))
     for (cut, dual), at in users.items():
         taus = list(at)
@@ -481,7 +486,7 @@ def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], e
 
 def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:
     """theta_f(tau) = sum_{x in Z^d} f(x mod p) e^{2 pi i Q(x,x) tau}, truncated."""
-    return _theta_values(f, [(_upper_half_plane(tau, eps), False, 1, 0)], eps, {})[0]
+    return _theta_values(f, [(_upper_half_plane(tau, eps), False, 1, 0)], eps)[0]
 
 
 def theta_eval(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> complex:
@@ -492,7 +497,7 @@ def theta_j_eval_full(f: TestFunction, j: CuspIndex, tau: complex, eps: float = 
     """The component theta_f^j(tau) for j in {0..p-1, inf} (odd p, even f):
     theta_f at (tau - j)/p^2 for finite j, theta_{F(f)} at tau for j = inf
     (``_component``)."""
-    return _theta_values(f, [_component(f, j, _upper_half_plane(tau, eps))], eps, {})[0]
+    return _theta_values(f, [_component(f, j, _upper_half_plane(tau, eps))], eps)[0]
 
 
 def theta_j_eval(f: TestFunction, j: CuspIndex, tau: complex, eps: float = DEFAULT_EPS) -> complex:
@@ -518,18 +523,19 @@ def _residual(label: str, lhs: complex, rhs: complex) -> TransformResidual:
     )
 
 
-def _poisson(f: TestFunction, tau: complex, eps: float, cuts: dict) -> tuple[TransformResidual, complex]:
-    """The residual of the summation identity with its left side theta_f^inf(tau)."""
-    lhs = theta_j_eval(f, INF, tau, eps)
-    tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
-    rhs = half_power(1j / (2 * tau), f.d) * _theta_values(f, [_component(f, 0, tau_inv)], eps, cuts)[0].value
-    return _residual("poisson", lhs, rhs), lhs
+def _poisson(tau: complex, d: int, lhs: complex, at_zero: complex) -> TransformResidual:
+    """The residual of the summation identity from lhs = theta_f^inf(tau) and
+    at_zero = theta_f^0(-1/(4 tau))."""
+    return _residual("poisson", lhs, half_power(1j / (2 * tau), d) * at_zero)
 
 
 def verify_poisson(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> TransformResidual:
     """Residual of the summation identity
     theta_f^inf(tau) = (i/2tau)^{d/2} theta_f^0(-1/(4 tau))."""
-    return _poisson(f, complex(tau), eps, {})[0]
+    tau = complex(tau)
+    lhs = theta_j_eval(f, INF, tau, eps)
+    tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
+    return _poisson(tau, f.d, lhs, _theta_values(f, [_component(f, 0, tau_inv)], eps)[0].value)
 
 
 def verify_generator_actions(
@@ -542,44 +548,36 @@ def verify_generator_actions(
     the composed L/S operator, with the (i/2tau)^{d/2} factor.
 
     The ``gamma j=0`` row is the summation identity's residual relabelled,
-    evaluated first, so a failing input raises what ``verify_poisson``
-    would.  Every finite component is a ``_theta_values`` ask on f itself:
-    the component of L f is f's with twist 1, and the component j' of
-    L^k S_{2j'} f is f's with scale 2j' and twist k.  The finite components
-    at tau - 1 and tau, theta_f^j(tau) once for its alpha and its gamma
-    row, share their partial sums through one call; those at -1/(4 tau)
-    follow in a second call that shares its cut searches.  A value at
-    infinity shares no partial sums with them (its vector is the FFT of v,
-    its cut carries the spread p); the three are read through the module's
-    ``theta_j_eval_full`` when the table runs, the one at tau once for its
-    two rows, so a wrapped or corrupted ``theta_j_eval_full`` (the bench
-    self-test) shows in them.
+    and theta_f^inf(tau) is read first, so a failing input raises what
+    ``verify_poisson`` would.  Every finite component is an ask of one
+    ``_theta_values`` call on f itself: the component of L f is f's with
+    twist 1, and the component j' of L^k S_{2j'} f is f's with scale 2j' and
+    twist k; theta_f^j(tau) is asked once for its alpha and its gamma row.
+    A value at infinity shares no partial sums with them (its vector is the
+    FFT of v, its cut carries the spread p); the three are read through the
+    module's ``theta_j_eval_full`` when the table runs, the one at tau once
+    for its two rows, so a wrapped or corrupted ``theta_j_eval_full`` (the
+    bench self-test) shows in them.
     """
     tau = complex(tau)
     p, d = f.p, f.d
-    cuts: dict = {}
-    poisson, at_inf = _poisson(f, tau, eps, cuts)
-    asks = [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)]
+    at_inf = theta_j_eval(f, INF, tau, eps)
+    tau_inv = _image_point("-1/(4 tau)", -1 / (4 * tau))
+    asks = [_component(f, 0, tau_inv)]
+    asks += [_component(f, jp, tau_inv)[:2] + ((2 * jp) % p, (kj * jp) % p)
+             for jp, kj in (j_prime_k(j, p) for j in range(1, p))]
+    asks += [_component(f, j, point) for point in (tau - 1, tau) for j in range(p)]
     # the last ask is theta_{L f}^0(tau): f's component 0 at tau with twist 1
-    found = [v.value for v in _theta_values(f, asks + [_component(f, 0, tau)[:2] + (1, 1)], eps, cuts)]
-    before, at_tau = found[:p], found[p:2 * p]
+    asks.append(_component(f, 0, tau)[:2] + (1, 1))
+    found = [v.value for v in _theta_values(f, asks, eps)]
+    at_inv, before, at_tau = found[1:p], found[p:2 * p], found[2 * p:3 * p]
     rows = [_residual(f"alpha j={j}", before[j], at_tau[j + 1]) for j in range(p - 1)]
-    rows.append(_residual("alpha j=p-1", before[p - 1], found[2 * p]))
+    rows.append(_residual("alpha j=p-1", before[p - 1], found[3 * p]))
     rows.append(_residual("alpha j=inf", theta_j_eval(f, INF, tau - 1, eps), at_inf))
     w = half_power(1j / (2 * tau), d)
-    tau_inv = -1 / (4 * tau)  # checked by _poisson
-    asks = [_component(f, jp, tau_inv)[:2] + ((2 * jp) % p, (kj * jp) % p)
-            for jp, kj in (j_prime_k(j, p) for j in range(1, p))]
-    at_inv = [v.value for v in _theta_values(f, asks, eps, cuts)]
     rows += [_residual(f"gamma j={j}", at_tau[j], w * value) for j, value in enumerate(at_inv, start=1)]
-    rows.append(replace(poisson, label="gamma j=0"))
-    rows.append(
-        _residual(
-            "gamma j=inf",
-            theta_j_eval(f, INF, tau_inv, eps),
-            half_power(2 * tau / 1j, d) * at_tau[0],
-        )
-    )
+    rows.append(replace(_poisson(tau, d, at_inf, found[0]), label="gamma j=0"))
+    rows.append(_residual("gamma j=inf", theta_j_eval(f, INF, tau_inv, eps), half_power(2 * tau / 1j, d) * at_tau[0]))
     return rows
 
 
@@ -797,25 +795,22 @@ def _weak_modularity_residuals(
     f: TestFunction, gs: list, tau: complex, eps: float = DEFAULT_EPS
 ) -> list[TransformResidual]:
     """``verify_weak_modularity`` for each g of ``gs``, in order, with every g
-    checked first and theta_f(tau) evaluated once, after the first left side:
-    the same doubles as one call per g."""
+    checked first and every g tau and tau asked of one ``_theta_values``
+    call, so theta_f(tau) is evaluated once: the same doubles as one call
+    per g."""
     for g in gs:
         if not is_in_gamma(g, f.p):
             raise ValidationError(f"matrix is not in the level-{f.p} group")
     if not f.is_even:
         raise ValidationError("verify_weak_modularity requires an even test function")
     tau = _upper_half_plane(tau, eps)
-    base = None
-    residuals = []
+    factors, points = [], []
     for g in gs:
         (a, b), (c, d) = g
         a, b, c, d = int(a), int(b), int(c), int(d)
         cz = c * tau + d
-        g_tau = _image_point("g tau", (a * tau + b) / cz)
-        lhs = theta_eval(f, g_tau, eps)
-        if base is None:
-            base = theta_eval(f, tau, eps)
+        points.append(_image_point("g tau", (a * tau + b) / cz))
         # even D keeps the integer power: half_power would move some factors by an ulp
-        factor = cz ** (f.d // 2) if f.d % 2 == 0 else jacobi_symbol(c, d) * half_power(cz, f.d)
-        residuals.append(_residual(f"weak-modularity c={c}", lhs, factor * base))
-    return residuals
+        factors.append((c, cz ** (f.d // 2) if f.d % 2 == 0 else jacobi_symbol(c, d) * half_power(cz, f.d)))
+    *lhs, base = [v.value for v in _theta_values(f, [(z, False, 1, 0) for z in points + [tau]], eps)]
+    return [_residual(f"weak-modularity c={c}", value, factor * base) for value, (c, factor) in zip(lhs, factors)]

@@ -287,8 +287,9 @@ def test_prime_cap_and_entry_cap_exit_two(capsys):
     assert "entry cap" in err
 
 
-# command lines that once printed a traceback (or, for a non-finite --eps, a
-# misleading exit 2 or 3), with the exit code they must give instead
+# command lines that once printed a traceback (or, for a non-finite --eps or
+# --tau, a misleading exit 1, 2 or 3), with the exit code they must give
+# instead; 2 pi tau overflows at the two huge tau, and 1e400 parses to inf
 BAD_NUMBERS = {
     "growth --d 5 --p 3 --nmax 10 --seed -1": 1,
     "theta-coeffs --p 3 --d 2 --nmax 5 --seed -1": 1,
@@ -298,6 +299,9 @@ BAD_NUMBERS = {
     "theta-verify --p 3 --d 2 --tau 0+1i --eps nan": 1,
     "theta-verify --p 3 --d 2 --tau 0+1i --eps inf": 1,
     "theta-verify --p 3 --d 2 --tau 0+1i --eps 1e-6": 1,
+    "theta-verify --p 3 --d 2 --tau 0+1e308i": 2,
+    "theta-verify --p 3 --d 2 --tau 1e308+1i": 2,
+    "theta-verify --p 3 --d 2 --tau 1e400+1i": 1,
     "diffcheck --d 5 --p 3 --n 2 --coeff nan": 1,
     "diffcheck --d 5 --p 3 --n 2 --coeff inf": 1,
     "diffcheck --d 5 --p 3 --n 2 --coeff 1e308": 2,
@@ -323,6 +327,14 @@ def test_underflowing_image_point_exits_two(capsys):
         code, out, err = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau", tau], capsys)
         assert (code, out) == (1, ""), tau
         assert "upper half plane" in err
+
+
+def test_tau_just_below_the_phase_overflow_is_not_refused_for_it(capsys):
+    # 2 pi tau is a double here; the table stops at the cut cap of the
+    # components at -1/(4 tau), whose Im is subnormal, as it always did
+    code, out, err = run_cli(["theta-verify", "--p", "3", "--d", "2", "--tau", "0+2.8e307i"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("quadsum:") and err.count("\n") == 1 and "cut above" in err, err
 
 
 def test_tau_with_a_negative_real_part_is_a_value_in_both_spellings(capsys):

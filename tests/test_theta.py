@@ -553,7 +553,13 @@ def test_theta_cut_matches_bisection_on_a_seeded_grid():
             with pytest.raises(ResourceLimitError):
                 _theta_cut(m, d, spread, y, eps)
             continue
-        assert _theta_cut(m, d, spread, y, eps) == _bisected_cut(m, d, spread, y, eps), (m, d, spread, y, eps)
+        cut = _theta_cut(m, d, spread, y, eps)
+        assert cut == _bisected_cut(m, d, spread, y, eps), (m, d, spread, y, eps)
+        # the cut where the leading Gaussian term meets eps bounds it below,
+        # so the search never has to step down from there
+        log_ratio = math.log(2.0 * d * spread) + math.log(m) - math.log(eps) + (d - 1) * math.log(a_bound)
+        start = max(0, math.ceil(min(math.sqrt(max(log_ratio, 0.0) / (2 * math.pi * y)), THETA_CUT_CAP)) - 1)
+        assert cut >= start, (m, d, spread, y, eps)
     assert 0 < refused < 1000  # the grid reaches past the cap, but mostly not
 
 
@@ -586,6 +592,31 @@ def test_underflowing_image_points_are_resource_limits():
             verify_poisson(f, tau)
         with pytest.raises(ValidationError):
             theta_j_eval(f, 0, tau)
+
+
+def test_overflowing_phases_are_resource_limits():
+    # 2 pi tau overflows once |Re tau| or Im tau passes about 2.86e307, and a
+    # partial sum's phase 2 pi i t^2 tau at its cut sooner: each tau below is
+    # valid, but the phases are no doubles
+    f = random_even_function(3, 2, 1)
+    for tau in (1e308j, 1e308 + 1j, 1e307 + 1j):
+        with pytest.raises(ResourceLimitError, match="overflow"):
+            theta_eval_full(f, tau)
+
+
+def test_theta_answers_just_below_the_phase_overflow():
+    # at cut 0 only the t = 0 term is summed: theta_f is f(0)
+    f = random_even_function(3, 2, 1)
+    assert theta_eval_full(f, 2.8e307j) == theta.ThetaValue(f.values[0], 0.0, 0)
+
+
+def test_non_finite_tau_is_a_usage_error():
+    f = random_even_function(3, 2, 1)
+    for tau in (complex(math.inf, 1), complex(math.nan, 1), complex(0, math.inf)):
+        with pytest.raises(ValidationError, match="finite"):
+            theta_eval_full(f, tau)
+        with pytest.raises(ValidationError, match="finite"):
+            verify_generator_actions(f, tau)
 
 
 def test_theta_j_change_of_variable():
@@ -884,15 +915,46 @@ def test_weak_modularity_residuals_share_one_base_value(monkeypatch):
     gs = [((1, 1), (0, 1)), ((1, 0), (36, 1))]
     want = [verify_weak_modularity(f, g, tau, eps) for g in gs]
     points = []
-    real_eval = theta.theta_eval
+    real_values = theta._theta_values
 
-    def counting_eval(f, point, eps):
-        points.append(point)
-        return real_eval(f, point, eps)
+    def counting_values(f, asks, eps):
+        points.extend(ask[0] for ask in asks)
+        return real_values(f, asks, eps)
 
-    monkeypatch.setattr(theta, "theta_eval", counting_eval)
+    monkeypatch.setattr(theta, "_theta_values", counting_values)
     assert theta._weak_modularity_residuals(f, gs, tau, eps) == want
     assert len(points) == 3 and points.count(tau) == 1
+
+
+def test_each_identity_check_makes_one_evaluator_call(monkeypatch):
+    # every finite value of a generator table, and every value of a weak
+    # modularity check, comes from one _theta_values call; the table's three
+    # values at infinity are one-ask calls through theta_j_eval_full
+    p, tau = 5, 0.3 + 0.7j
+    f = random_even_function(p, 3, 2)
+    calls, inside = [], []
+    real_values, real_at_inf = theta._theta_values, theta.theta_j_eval_full
+
+    def counting_values(f, asks, eps):
+        calls.append((tuple(inside), [dual for _, dual, _, _ in asks]))
+        return real_values(f, asks, eps)
+
+    def at_inf(g, j, *args, **kwargs):
+        inside.append(j)
+        try:
+            return real_at_inf(g, j, *args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(theta, "_theta_values", counting_values)
+    monkeypatch.setattr(theta, "theta_j_eval_full", at_inf)
+    verify_generator_actions(f, tau)
+    # -1/(4 tau) once plain and p - 1 times twisted, tau - 1 and tau, and L f at tau
+    assert [duals for seen, duals in calls if not seen] == [[False] * (3 * p + 1)]
+    assert [(seen, duals) for seen, duals in calls if seen] == [((INF,), [True])] * 3
+    calls.clear()
+    theta._weak_modularity_residuals(f, [((1, 1), (0, 1)), ((1, 0), (4 * p * p, 1))], tau)
+    assert calls == [((), [False] * 3)]
 
 
 def test_weak_modularity_rejects_non_member():
@@ -1058,9 +1120,9 @@ def test_generator_table_builds_each_partial_sum_once(p, d, tau, monkeypatch):
     assert len(finite) == len(set(finite))
     assert len(cuts) - len(finite) == 3
     # the 4p + 4 evaluations need about half as many vectors, built in a few
-    # passes: the summation formula's one, one for tau - 1 and tau, whose
+    # passes beside the three at infinity: one for tau - 1 and tau, whose
     # finite components share their cut, and one for -1/(4 tau)
-    assert len(built) < len(evals) and len(passes) - 3 <= 3
+    assert len(built) < len(evals) and len(passes) - 3 <= 2
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (5, 3), (11, 2)])
@@ -1113,7 +1175,7 @@ def test_twisted_asks_match_the_operator_path():
                 for _ in range(3):
                     a, k, j = rng.randrange(1, p), rng.randrange(p), rng.randrange(p)
                     ask = theta._component(f, j, point)[:2] + (a, k)
-                    got = theta._theta_values(f, [ask], DEFAULT_EPS, {})[0].value
+                    got = theta._theta_values(f, [ask], DEFAULT_EPS)[0].value
                     want = theta_j_eval_full(op_L(op_Sj(f, a), k), j, point).value
                     assert abs(got - want) <= 1e-13 * abs(want), (p, d, a, k, j, point)
 
