@@ -39,8 +39,11 @@ Conventions fixed throughout:
   component as one ask, each identity check's finite values as one list.
   The finite components of one image point share Im tau_eff and so their
   cut; the evaluator builds their partial sums together, one exponential
-  pass per bounded batch of distinct rows, dropped with its batch.  Each cut
-  is searched once per call; nothing is kept between calls.
+  pass per bounded batch of distinct rows, dropped with its batch.  A pass
+  gathers the vectors of all its asks at once and contracts f with them by
+  one stacked matmul per axis, in groups of at most ``_PASS_TERMS`` //
+  p^(d-1) vectors, so a group holds no more than a pass.  Each cut is
+  searched once per call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -106,7 +109,17 @@ class TestFunction:
 
     def __init__(self, p: int, d: int, values):
         _require_space(p, d)
-        arr = np.array(values, dtype=np.complex128)
+        self._hold(p, d, np.array(values, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, p: int, d: int, arr: np.ndarray) -> TestFunction:
+        """A function holding ``arr`` itself, not a copy: for a fresh
+        complex128 array the library has just built for it and hands over."""
+        f = cls.__new__(cls)
+        f._hold(p, d, arr)
+        return f
+
+    def _hold(self, p: int, d: int, arr: np.ndarray) -> None:
         if arr.shape != (p**d,):
             raise ValidationError(
                 f"expected {p**d} values for p={p}, d={d}, got shape {arr.shape}"
@@ -148,14 +161,14 @@ class TestFunction:
 
 def constant_function(p: int, d: int) -> TestFunction:
     _require_space(p, d)
-    return TestFunction(p, d, np.ones(p**d, dtype=np.complex128))
+    return TestFunction._adopt(p, d, np.ones(p**d, dtype=np.complex128))
 
 
 def origin_indicator(p: int, d: int) -> TestFunction:
     _require_space(p, d)
     v = np.zeros(p**d, dtype=np.complex128)
     v[0] = 1.0
-    return TestFunction(p, d, v)
+    return TestFunction._adopt(p, d, v)
 
 
 def even_projection(f: TestFunction) -> TestFunction:
@@ -163,7 +176,7 @@ def even_projection(f: TestFunction) -> TestFunction:
     v = _scaled(f.values, f.p, f.d, -1)
     v += f.values
     v /= 2.0
-    g = TestFunction(f.p, f.d, v)
+    g = TestFunction._adopt(f.p, f.d, v)
     object.__setattr__(g, "_even", True)
     return g
 
@@ -173,8 +186,12 @@ def finite_fourier(f: TestFunction) -> TestFunction:
     numpy's d-dimensional FFT of the (p,)*d value tensor.
 
     Applying it twice gives p^d f(-x) (counting-measure normalization).
+    Every axis after the first is transformed in place, so the transform
+    holds one array of f's size.
     """
-    return TestFunction(f.p, f.d, np.fft.fftn(f.values.reshape((f.p,) * f.d)).reshape(-1))
+    out = np.empty((f.p,) * f.d, dtype=np.complex128)
+    np.fft.fftn(f.values.reshape(out.shape), out=out)
+    return TestFunction._adopt(f.p, f.d, out.reshape(-1))
 
 
 def op_L(f: TestFunction, k: int = 1) -> TestFunction:
@@ -185,14 +202,14 @@ def op_L(f: TestFunction, k: int = 1) -> TestFunction:
     # round differently with its operands swapped.
     levels = np.arange(quadric_modulus(f.p), dtype=np.int64)
     phase = np.exp(-2j * np.pi * ((k * levels) % f.p) / f.p)[qmod_vector(f.p, f.d)]
-    return TestFunction(f.p, f.d, f.values * phase)
+    return TestFunction._adopt(f.p, f.d, f.values * phase)
 
 
 def op_Sj(f: TestFunction, j: int) -> TestFunction:
     """Rescaling of the argument: (S_j f)(x) = f(j x), for 1 <= j <= p-1."""
     if not 1 <= j <= f.p - 1:
         raise ValidationError(f"op_Sj needs 1 <= j <= p-1, got j={j}, p={f.p}")
-    return TestFunction(f.p, f.d, _scaled(f.values, f.p, f.d, j))
+    return TestFunction._adopt(f.p, f.d, _scaled(f.values, f.p, f.d, j))
 
 
 def op_M(f: TestFunction) -> TestFunction:
@@ -202,7 +219,7 @@ def op_M(f: TestFunction) -> TestFunction:
         raise ValidationError(f"op_M is defined only for p = 2, got p={f.p}")
     q = qmod_vector(2, f.d)  # already reduced mod 4
     phase = np.exp(-2j * np.pi * q / 4)
-    return TestFunction(f.p, f.d, f.values * phase)
+    return TestFunction._adopt(f.p, f.d, f.values * phase)
 
 
 def random_even_function(p: int, d: int, seed: int) -> TestFunction:
@@ -213,7 +230,7 @@ def random_even_function(p: int, d: int, seed: int) -> TestFunction:
     rng = np.random.default_rng(seed)
     v = np.empty(p**d, dtype=np.complex128)
     v.real, v.imag = rng.random(p**d), rng.random(p**d)
-    v = TestFunction(p, d, v)  # drops the draw before the projection
+    v = TestFunction._adopt(p, d, v)  # drops the draw before the projection
     return even_projection(v)
 
 
@@ -229,7 +246,7 @@ def random_cusp_function(p: int, d: int, seed: int) -> TestFunction:
         free = np.setdiff1d(idx, pinned, assume_unique=True)
         if free.size:
             v[free] -= v[idx].sum() / free.size
-    return TestFunction(p, d, v)
+    return TestFunction._adopt(p, d, v)
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +308,10 @@ def _gauss_tail(y: float, cut: int) -> float:
     return 2.0 * math.exp(-TWO_PI * y * (cut + 1) ** 2) / -math.expm1(-TWO_PI * y * (2 * cut + 3))
 
 
-#: most terms, and most partial sums, one ``_partial_theta_rows`` pass of a
-#: generator table holds, unless one row alone has more
+#: most terms, and most partial sums, one ``_partial_theta_rows`` pass holds,
+#: and most entries of a contraction group's first axis and of the block of f
+#: one matrix-vector product reads, unless one row, one vector or a (p, p)
+#: block alone has more
 _PASS_TERMS = 2**14
 
 
@@ -306,13 +325,15 @@ def _partial_theta_rows(p: int, taus: list[complex], cut: int) -> np.ndarray:
     computed alone: its exponents are the same products and bincount adds
     the terms of a bin in input order.
     """
-    s = np.arange(1, cut + 1, dtype=np.int64)
-    t = np.concatenate(([0], np.stack([s, -s], axis=1).ravel()))
+    t = np.arange(1, 2 * cut + 2, dtype=np.int64) // 2  # 0, 1, -1, 2, -2, ...
+    t[2::2] *= -1
     phase = np.array([2j * np.pi * tau for tau in taus])
     terms = np.exp(phase[:, None] * (t * t))
     bins = (t % p + p * np.arange(len(taus))[:, None]).ravel()
-    size = p * len(taus)
-    sums = np.bincount(bins, terms.real.ravel(), minlength=size) + 1j * np.bincount(bins, terms.imag.ravel(), minlength=size)
+    sums = np.empty(p * len(taus), dtype=np.complex128)
+    # a bincount sum is never -0.0, so these are the bits of re + 1j * im
+    sums.real = np.bincount(bins, terms.real.ravel(), minlength=sums.size)
+    sums.imag = np.bincount(bins, terms.imag.ravel(), minlength=sums.size)
     return sums.reshape(len(taus), p)
 
 
@@ -361,13 +382,27 @@ def _theta_cut(m: float, d: int, spread: int, y: float, eps: float) -> int:
     return cut
 
 
-def _contract(f: TestFunction, a: np.ndarray, beta: float, a_sum: float, cut: int) -> ThetaValue:
-    """The contraction of the (p,)*d value tensor with a along every axis;
-    beta bounds the l1 norm of the 1-d tail a misses and a_sum = sum_k |a_k|."""
-    t = f.values.reshape((f.p,) * f.d)
+def _contract(f: TestFunction, w: np.ndarray) -> np.ndarray:
+    """f contracted with each row of the (k, p) stack w along every axis: one
+    stacked matmul per axis with the rows as (k, p, 1) columns.
+
+    An axis is a matrix-vector product per block of tensor rows: the largest
+    power of p of them (at least p) whose block holds at most ``_PASS_TERMS``
+    entries, or all that are left (one, a dot, on the last axis).  Each
+    output is still the dot of one length-p row with w[r], so every value is
+    bit for bit ``t @ w[r]`` applied d times to the (p,)*d tensor: few calls
+    where p is small, blocks that stay in cache where f is large.
+    """
+    p = f.p
+    block = p
+    while block * p * p <= _PASS_TERMS:
+        block *= p
+    cols = w[:, None, :, None]
+    t, n = f.values.reshape(1, -1), f.values.size
     for _ in range(f.d):
-        t = t @ a
-    return ThetaValue(value=complex(t), tail=_product_tail(f.max_abs, f.d, beta, a_sum), radius=cut)
+        n //= p
+        t = t.reshape(len(t), -1, min(block, n), p) @ cols
+    return t.ravel()
 
 
 def _checked(res: ThetaValue, eps: float) -> ThetaValue:
@@ -449,15 +484,18 @@ def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], e
     finite components of one image point, which share Im tau_eff, share one
     cut.  The asks with one cut and ``dual`` share their partial sums: each
     distinct tau_eff gets one row, built in ``_partial_theta_rows`` passes of
-    at most ``_PASS_TERMS`` terms and sums (one row where it alone has more),
-    turned into the vector w of every ask at it and dropped with its pass.
+    at most ``_PASS_TERMS`` terms and sums (one row where it alone has more).
+    A pass (``_theta_pass``) turns its rows into the vectors w of all its
+    asks at once and contracts f with them in groups of at most
+    ``_PASS_TERMS`` // p^(d-1) vectors (one where p^(d-1) is larger), so a
+    group holds no more than a pass; everything is dropped with the pass.
     """
     values = [ThetaValue(0j, 0.0, 0)] * len(asks)
     if f.max_abs == 0.0:
         return values
     p = f.p
-    m = np.arange(p)
-    roots = np.exp(-2j * np.pi * m / p)  # e^{-2 pi i m/p}, gathered at k u^2 mod p
+    # e^{-2 pi i m/p}, gathered at k u^2 mod p; only an ask with a != 1 or k != 0 reads it
+    roots = np.exp(-2j * np.pi * np.arange(p) / p) if any(a != 1 or k for *_, a, k in asks) else None
     cuts: dict[tuple[int, float], int] = {}
     users: dict[tuple[int, bool], dict[complex, list[tuple[int, int, int]]]] = {}
     for i, (tau_eff, dual, scale, twist) in enumerate(asks):
@@ -472,16 +510,43 @@ def _theta_values(f: TestFunction, asks: list[tuple[complex, bool, int, int]], e
         taus = list(at)
         step = max(1, _PASS_TERMS // max(p, 2 * cut + 1))
         for lo in range(0, len(taus), step):
-            batch = taus[lo:lo + step]
-            for tau_eff, v in zip(batch, _partial_theta_rows(p, batch, cut)):
-                beta = _gauss_tail(tau_eff.imag, cut)
-                if dual:
-                    v, beta = np.fft.fft(v), beta * p
-                for i, scale, twist in at[tau_eff]:
-                    u = (pow(scale, -1, p) * m) % p
-                    w = roots[twist * (u * u % p) % p] * v[u]
-                    values[i] = _checked(_contract(f, w, beta, float(np.abs(w).sum()), cut), eps)
+            for i, value in _theta_pass(f, cut, dual, taus[lo:lo + step], at, roots, eps):
+                values[i] = value
     return values
+
+
+def _theta_pass(f: TestFunction, cut: int, dual: bool, taus: list[complex],
+                at: dict[complex, list[tuple[int, int, int]]], roots: np.ndarray | None,
+                eps: float) -> list[tuple[int, ThetaValue]]:
+    """The values (i, ThetaValue) of the asks (i, a, k) of ``at[tau_eff]``
+    for each tau_eff of ``taus``, all at one cut and ``dual``: one pass of
+    partial sums, in its own scope, so nothing of it outlives the pass.
+
+    The vectors w of all the asks are one gather of the rows; the S_a
+    permutation and the L^k phases are applied only to the asks with a != 1
+    or k != 0.  One reduction takes their summed moduli, and f is contracted
+    with them in groups of at most ``_PASS_TERMS`` // p^(d-1) vectors.  Every
+    value, tail and radius is bit for bit the ask's own one-ask call.
+    """
+    p, d = f.p, f.d
+    rows = _partial_theta_rows(p, taus, cut)
+    if dual:
+        rows = np.fft.fft(rows)
+    mine = [(r, i, a, k) for r, tau in enumerate(taus) for i, a, k in at[tau]]
+    w = rows.take([r for r, *_ in mine], axis=0)
+    moved = [n for n, (_, _, a, k) in enumerate(mine) if a != 1 or k]
+    if moved:
+        r, inverse, k = np.array([(mine[n][0], pow(mine[n][2], -1, p), mine[n][3]) for n in moved]).T
+        u = inverse[:, None] * np.arange(p) % p
+        w[moved] = roots[k[:, None] * (u * u % p) % p] * rows[r[:, None], u]
+    a_sums = np.abs(w).sum(axis=1).tolist()
+    group = max(1, _PASS_TERMS // p ** (d - 1))
+    found = [z for lo in range(0, len(w), group) for z in _contract(f, w[lo:lo + group]).tolist()]
+    betas = [_gauss_tail(tau.imag, cut) * (p if dual else 1) for tau in taus]
+    return [
+        (i, _checked(ThetaValue(value, _product_tail(f.max_abs, d, betas[r], a_sum), cut), eps))
+        for (r, i, _, _), value, a_sum in zip(mine, found, a_sums)
+    ]
 
 
 def theta_eval_full(f: TestFunction, tau: complex, eps: float = DEFAULT_EPS) -> ThetaValue:

@@ -177,7 +177,7 @@ def _dual_vector(f, tau, monkeypatch):
     seen, contract = [], theta._contract
 
     def spy(g, a, *rest):
-        seen.append(a)
+        seen.append(a[0])
         return contract(g, a, *rest)
 
     monkeypatch.setattr(theta, "_contract", spy)
@@ -225,6 +225,39 @@ def test_transforms_at_p1009_take_no_p_by_p_workspace():
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+def test_operators_hand_over_their_fresh_arrays():
+    # f holds 16.3 MB at p = 1009, d = 2.  The transform takes its later axes
+    # in place, and no operator copies the array it has just built: a copy on
+    # the way into the new function would add 1.0x to each peak
+    f = random_even_function(1009, 2, 1)
+    assert f.is_even and f.max_abs > 0  # f's own flags, outside the measurement
+    for op, bound in ((finite_fourier, 1.1), (op_L, 2.1)):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = op(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * f.values.nbytes, op.__name__
+        del g
+
+
+def test_operator_results_are_read_only_and_caller_arrays_are_copied():
+    v = np.arange(9, dtype=np.complex128)
+    f = TestFunction(3, 2, v)
+    assert not np.shares_memory(f.values, v) and v.flags.writeable
+    v[0] = 7.0
+    assert f.values[0] == 0.0
+    made = [constant_function(3, 2), origin_indicator(3, 2), even_projection(f), finite_fourier(f),
+            op_L(f, 2), op_Sj(f, 2), random_even_function(3, 2, 1), random_cusp_function(3, 2, 1),
+            op_M(TestFunction(2, 3, np.ones(8)))]
+    for g in made:
+        assert g.values.dtype == np.complex128 and not g.values.flags.writeable
+        with pytest.raises(ValueError):
+            g.values[0] = 1.0
 
 
 def test_transforms_reach_p10007():
@@ -1178,6 +1211,40 @@ def test_twisted_asks_match_the_operator_path():
                     got = theta._theta_values(f, [ask], DEFAULT_EPS)[0].value
                     want = theta_j_eval_full(op_L(op_Sj(f, a), k), j, point).value
                     assert abs(got - want) <= 1e-13 * abs(want), (p, d, a, k, j, point)
+
+
+@pytest.mark.parametrize("p,d", [(3, 9), (31, 4), (5, 3), (11, 2), (7, 1)])
+def test_batched_values_equal_each_ask_alone(p, d, monkeypatch):
+    # one call contracts f with the vectors of a whole pass, in groups of at
+    # most _PASS_TERMS // p^(d-1) (2 at (3, 9); 1 at (31, 4), where
+    # p^(d-1) > 2^14); every value, tail and radius is bit for bit the ask's
+    # own one-ask call, for plain, twisted, scaled and dual asks
+    rng = random.Random(30001 + p * d)
+    f = random_even_function(p, d, rng.randrange(2**31))
+    tau = complex(rng.uniform(-1, 1), rng.uniform(0.3, 1.2))
+    asks = []
+    for point in (tau, tau - 1, -1 / (4 * tau)):
+        for j in range(min(p, 4)):
+            asks.append(theta._component(f, j, point))
+        for _ in range(3):
+            ask = theta._component(f, rng.randrange(p), point)
+            asks.append(ask[:2] + (rng.randrange(1, p), rng.randrange(p)))
+        asks.append(theta._component(f, INF, point))
+        asks.append(theta._component(f, INF, point)[:2] + (rng.randrange(1, p), rng.randrange(1, p)))
+    widths, contract = [], theta._contract
+
+    def spy(g, w):
+        widths.append(len(w))
+        return contract(g, w)
+
+    monkeypatch.setattr(theta, "_contract", spy)
+    batched = theta._theta_values(f, asks, DEFAULT_EPS)
+    group = max(1, theta._PASS_TERMS // p ** (d - 1))
+    assert max(widths) <= group and sum(widths) == len(asks)
+    if group < 8:  # some pass holds more asks than a group: it is split
+        assert widths.count(group) >= 4
+    alone = [theta._theta_values(f, [ask], DEFAULT_EPS)[0] for ask in asks]
+    assert _value_bits(batched) == _value_bits(alone)
 
 
 def test_generator_table_keeps_nothing_past_the_call():
