@@ -75,18 +75,18 @@ def _level_counts(d: int, n: int, p: int) -> tuple[np.ndarray, np.ndarray, int]:
     return support, counts, int(counts.sum())
 
 
-def _tv(masses: np.ndarray, uniform: float) -> np.ndarray:
-    """Half the l1 distance between each row of ``masses`` and the constant
-    ``uniform``: every row is summed alone, along its contiguous axis, so a
-    row's TV does not depend on the rows read with it."""
-    return 0.5 * np.abs(masses - uniform).sum(axis=-1)
+def _tv(deviations: np.ndarray) -> np.ndarray:
+    """Half the sum of each row of ``deviations``, the |mass - uniform| of a
+    measure in support order: every row is summed alone, along its contiguous
+    axis, so a row's TV does not depend on the rows read with it."""
+    return 0.5 * deviations.sum(axis=-1)
 
 
 def tv_to_uniform(mu: EmpiricalMeasure) -> float:
     """Half the l1 distance between mu and the uniform measure on its support."""
     if mu.empty:
         raise EmptyMeasureError(f"no lattice points behind measure at n={mu.n}")
-    return float(_tv(mu.masses, 1.0 / len(mu.support)))
+    return float(_tv(np.abs(mu.masses - 1.0 / len(mu.support))))
 
 
 def sup_deviation(mu: EmpiricalMeasure) -> float:
@@ -158,6 +158,11 @@ def decay_study(
     filter is mandatory there.  Windows with fewer than ``MIN_SAMPLES``
     admissible n are flagged under-sampled but still summarized; a window
     with none reports its median and max TV as None.
+
+    The level support is a union of whole orbits, so each block of n reads
+    the census on the level's orbit columns only and forms the deviations
+    |c/T - 1/|X(a)|| there; they are expanded to the support only for the
+    row sum, so each TV is the double ``tv_to_uniform`` gives at that n.
     """
     if d < 4:
         raise ValidationError(f"decay_study requires d >= 4, got {d}")
@@ -175,10 +180,16 @@ def decay_study(
             raise ValidationError(f"bad window [{lo}, {hi})")
     support = _level_support(p, d, a)  # refuses p**d > ENTRY_CAP before a rank of p**d is built
     rows, rank = orbit_census(d, max(hi for _, hi in windows) - 1, p)
+    # the level's orbit columns, m[j] support residues on column j, and the
+    # column of each support residue (the origin's orbit is a singleton)
     cols = rank[support]
+    per_orbit = np.bincount(cols)
+    orbits = np.flatnonzero(per_orbit)
+    m = per_orbit[orbits]
+    inverse = (np.cumsum(per_orbit > 0) - 1)[cols]
     uniform = 1.0 / len(support)
     step = p if parity is None else 2 * p
-    block = max(1, ENTRY_CAP // len(support))  # n per read: at most ENTRY_CAP counts each
+    block = max(1, ENTRY_CAP // len(support))  # n per read: at most ENTRY_CAP expanded deviations
     out: list[WindowSummary] = []
     for lo, hi in windows:
         start = lo + (a - lo) % p
@@ -187,10 +198,12 @@ def decay_study(
         ns = np.arange(start, hi, step)
         tvs = []
         for i in range(0, len(ns), block):
-            counts = rows[ns[i : i + block, None], cols]
-            totals = counts.sum(axis=1)
+            counts = rows[ns[i : i + block, None], orbits]
+            totals = counts @ m
             sampled = totals > 0
-            tvs += _tv(counts[sampled] / totals[sampled, None], uniform).tolist()
+            dev = np.abs(counts[sampled] / totals[sampled, None] - uniform)
+            # C-contiguous rows: dev[:, inverse] is F-ordered and sums differently
+            tvs += _tv(np.take(dev, inverse, axis=1)).tolist()
         out.append(
             WindowSummary(
                 lo=lo, hi=hi, samples=len(tvs), under_sampled=not tvs or len(tvs) < MIN_SAMPLES,

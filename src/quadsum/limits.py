@@ -19,10 +19,11 @@ BOX_POINT_CAP = 5 * 10**8
 # count_range: largest nmax (the convolution holds a few int64 rows of nmax + 1).
 RANGE_NMAX_CAP = 10**8
 
-# Dense test-function storage: maximum p**d entries.  decay_study also reads
-# its census counts in blocks of at most this many; theta_coeffs reads no
-# blocks, it contracts the orbit table one orbit column at a time.  A
-# generator table holds no function but f: it reads every L^k S_a f off f.
+# Dense test-function storage: maximum p**d entries.  decay_study also
+# expands its per-orbit deviations to the level support in blocks of at most
+# this many; theta_coeffs reads no blocks, it contracts the orbit table one
+# orbit column at a time.  A generator table holds no function but f: it
+# reads every L^k S_a f off f.
 ENTRY_CAP = 10**7
 
 # Residue census: maximum cells of the kept orbit table with its rank,

@@ -20,6 +20,7 @@ from quadsum.equidist import (
 )
 from quadsum.errors import EmptyMeasureError, ValidationError
 from quadsum.lattice import count_range, orbit_census, quadric_indices, r4_jacobi, residue_histogram
+from quadsum.limits import ENTRY_CAP
 from quadsum.theta import TestFunction, constant_function, random_cusp_function, random_even_function
 
 
@@ -274,10 +275,46 @@ def test_decay_study_window_read_in_blocks_equals_the_per_n_reference():
     assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
 
 
+@pytest.mark.parametrize("a,parity,window", [(0, None, (16384, 32768)), (2, "even", (32768, 65536))])
+def test_decay_study_zero_level_and_parity_read_in_blocks_equal_the_per_n_reference(a, parity, window):
+    # 3277 n of a level of 3224 or 3100 points: more than ENTRY_CAP expanded
+    # deviations, so the window is read in two blocks
+    lo, hi = window
+    ns = [n for n in range(lo, hi) if n % 5 == a and (parity is None or n % 2 == 0)]
+    support = quadric_indices(5, 6, a)
+    assert len(ns) == 3277 > ENTRY_CAP // (len(support) - (a == 0))
+    (row,) = decay_study(6, 5, a, [window], parity=parity)
+    tvs = [tv_to_uniform(empirical_measure(6, n, 5)) for n in ns]
+    assert row.samples == len(tvs)
+    assert row.median_tv == median(tvs) and row.max_tv == max(tvs)
+
+
+@pytest.mark.parametrize("d,p", [(4, 3), (5, 3), (3, 5), (4, 5), (3, 7), (6, 3)])
+def test_level_supports_are_unions_of_whole_orbits(d, p):
+    # decay_study reads each level on its orbit columns: every orbit is inside
+    # one level, and only the origin's singleton orbit is dropped, at a = 0
+    rank = orbit_census(d, 0, p)[1]
+    sizes = np.bincount(rank)
+    assert sizes[rank[0]] == 1
+    covered = np.zeros(len(sizes), dtype=int)
+    for a in range(p):
+        support = quadric_indices(p, d, a)
+        if a == 0:
+            support = support[support != 0]
+        per_orbit = np.bincount(rank[support], minlength=len(sizes))
+        hit = per_orbit > 0
+        assert (per_orbit[hit] == sizes[hit]).all(), (d, p, a)
+        covered += hit
+    assert covered[rank[0]] == 0
+    covered[rank[0]] = 1
+    assert (covered == 1).all()
+
+
 @pytest.mark.parametrize("kmax", [13, 15])
 def test_decay_study_peak_memory_stays_far_below_the_expanded_table(kmax):
     # the expanded census up to n = 16383 alone would take 2 GB; the last
-    # window at kmax = 15 holds 2e7 counts, read in blocks of ENTRY_CAP
+    # window at kmax = 15 is read on its orbits, 28 columns at most, and its
+    # deviations expanded to the support in blocks of ENTRY_CAP
     orbit_census(1, 0, 2)  # drop any larger kept table first
     tracemalloc.start()
     try:
@@ -285,7 +322,7 @@ def test_decay_study_peak_memory_stays_far_below_the_expanded_table(kmax):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.5e9
+    assert peak <= 0.15e9
 
 
 def test_level_reads_answer_past_the_expanded_cell_cap():
