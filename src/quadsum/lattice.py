@@ -20,9 +20,11 @@ with one contiguous count row per multiset, and the table is handed out in
 that layout: ``rows`` is its transposed view, read as ``rows[n, k]``, and
 ``rank`` maps each of the p**d residues to its multiset column, so a reader
 gathers only the columns it needs, or folds a function onto the orbits.
-Counts are held in int32 while the overflow bound of the build admits it and
-in int64 after (``orbit_census``), so a table and its expansion take 4 bytes
-a cell wherever every count is known to fit in 31 bits.
+Both convolution paths share one width rule (``_narrowest``): every pass
+takes the narrowest of int16, int32 and int64 that its overflow bound
+admits, and a finished orbit table is narrowed once more to the width of its
+largest count, so a table and its expansion take 2 bytes a cell wherever
+every count fits in 15 bits and 4 wherever it fits in 31.
 ``residue_census`` expands the whole table to p**d columns, one gathered
 orbit count column per residue; no library path calls it, it is the
 per-residue oracle of the tests and the benchmark checks, and it keeps
@@ -142,11 +144,24 @@ def enumerated_counts(d: int, nmax: int) -> np.ndarray:
     return counts
 
 
+def _narrowest(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds every integer in
+    0..bound; a bound past the 64-bit range is refused."""
+    for width in (np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(width).max:
+            return width
+    raise ResourceLimitError("census counts may exceed the 64-bit cap")
+
+
 def count_range(d: int, nmax: int) -> np.ndarray:
     """r_d(0..nmax) via d-fold convolution of the square-counting sequence.
 
-    Counts are held in int64; inputs whose counts could exceed the 64-bit
-    range are rejected up front rather than silently wrapping.
+    Inputs whose counts could exceed the 64-bit range, (2s+1)^d > 2**63 - 1
+    for s = isqrt(nmax), are rejected up front rather than silently wrapping.
+    Each pass runs in the narrowest integer type of its overflow bound
+    (``_narrowest``): a new entry sums at most 2s + 1 entries of the last
+    pass, so no partial sum exceeds the last maximum times 2s + 1.  The
+    counts are returned as int64.
     """
     if d < 1:
         raise ValidationError(f"count_range requires d >= 1, got {d}")
@@ -159,18 +174,18 @@ def count_range(d: int, nmax: int) -> np.ndarray:
         raise ResourceLimitError(
             f"counts for d={d}, nmax={nmax} may exceed the 64-bit cap"
         )
-    acc = np.zeros(nmax + 1, dtype=np.int64)
+    acc = np.zeros(nmax + 1, dtype=np.int16)
     acc[0] = 1
     for _ in range(d):
         # the t = 0 term, then the shifts of the +-t terms, each adding a
         # slice of one doubled pass
-        new = acc.copy()
-        twice = 2 * acc
+        new = acc.astype(_narrowest(int(acc.max()) * (2 * s + 1)))
+        twice = 2 * new
         for t in range(1, s + 1):
             tsq = t * t
             new[tsq:] += twice[: nmax + 1 - tsq]
         acc = new
-    return acc
+    return acc.astype(np.int64, copy=False)
 
 
 def r4_jacobi(n: int) -> int:
@@ -276,13 +291,15 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     works on C(h+k-1, k) rows, not the h**k ordered class tuples, and every
     shifted add is a contiguous row slice.
 
-    Each pass takes the narrowest integer type its overflow bound admits.  A
-    new entry sums at most 2s + 1 non-negative entries of the previous pass,
-    so no entry, and no partial sum on the way to it, exceeds the previous
-    maximum times 2s + 1.  The pass is int32 when that bound is at most
-    2**31 - 1, int64 when it is at most 2**63 - 1, and refused past that.
-    The maximum never falls from pass to pass, so a build is int32 up to
-    some pass and int64 after it, and ``rows`` has the width of the last.
+    Each pass takes the narrowest of int16, int32 and int64 that its
+    overflow bound admits (``_narrowest``).  A new entry sums at most 2s + 1
+    non-negative entries of the previous pass, so no entry, and no partial
+    sum on the way to it, exceeds the previous maximum times 2s + 1; a pass
+    whose bound passes 2**63 - 1 is refused.  The finished table is then
+    narrowed once to the width of its own largest count, so ``rows`` is
+    int16 wherever every count fits in 15 bits, int32 wherever it fits in
+    31, and int64 only past that.  A view of a kept table has the width of
+    the table it is cut from.
 
     Only the most recent table is kept, as callers reuse nothing older: the
     same (d, p) with no larger nmax gets a view of it, any other request drops
@@ -303,18 +320,15 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     classes = np.arange(h)
     r = np.arange(p)
     cls = np.minimum(r, p - r)  # sign class c(r) of each residue
-    table = np.zeros((1, nmax + 1), dtype=np.int32)
+    table = np.zeros((1, nmax + 1), dtype=np.int16)
     table[0, 0] = 1
     top = np.zeros(1, dtype=np.int64)  # largest class of each row's multiset
     rank = np.zeros(1, dtype=np.int64)  # multiset row of each residue vector of the axes done
     insert = offs = None
     for _ in range(d):
-        bound = int(table.max()) * (2 * s + 1)  # no entry of the new pass exceeds it
-        if bound > 2**63 - 1:
-            raise ResourceLimitError("census counts may exceed the 64-bit cap")
+        width = _narrowest(int(table.max()) * (2 * s + 1))  # no entry of the new pass exceeds it
         upto = np.searchsorted(top, classes, side="right")  # rows with largest class <= c
         before, offs = offs, np.concatenate(([0], np.cumsum(upto)))  # block of largest class c
-        width = np.int32 if bound <= 2**31 - 1 else np.int64
         new = np.zeros((offs[-1], nmax + 1), dtype=width)
         for t in range(s + 1):
             tsq = t * t
@@ -331,6 +345,7 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
             insert[i, c] = offs[top[i]] + prior[i - before[top[i]], c]
         rank = insert.T[cls][:, rank].reshape(-1)  # the new axis is the slowest digit
         table, top = new, np.repeat(classes, upto)
+    table = table.astype(_narrowest(int(table.max())), copy=False)
     table.setflags(write=False)
     rank.setflags(write=False)
     _kept_census = (d, p, table.T, rank)
@@ -344,8 +359,8 @@ def residue_census(d: int, nmax: int, p: int) -> np.ndarray:
     It is the orbit census expanded by one gather of whole orbit count
     columns, the one of each residue's multiset, returned as the transposed
     view of the (p**d, nmax+1) gathered table; so it has the orbit table's
-    width: int32 when the build's overflow bound kept every pass within 31
-    bits, else int64.  The expanded table is built afresh on each call and
+    width, the narrowest of int16, int32 and int64 that holds the table's
+    largest count.  The expanded table is built afresh on each call and
     never kept.
     No library path calls it: it is the per-residue oracle that the tests and
     the benchmark checks compare the orbit readers with.

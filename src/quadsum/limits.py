@@ -16,7 +16,8 @@ POINT_CAP = 10**8
 # projected points per call (r_4 up to n = 5000 is projected at 2.0e8).
 BOX_POINT_CAP = 5 * 10**8
 
-# count_range: largest nmax (the convolution holds a few int64 rows of nmax + 1).
+# count_range: largest nmax (the convolution holds a few rows of nmax + 1, of
+# 2 to 8 bytes a cell by each pass's overflow bound, and returns int64).
 RANGE_NMAX_CAP = 10**8
 
 # Dense test-function storage: maximum p**d entries.  decay_study also
@@ -29,8 +30,9 @@ ENTRY_CAP = 10**7
 # Residue census: maximum cells of the kept orbit table with its rank,
 # (nmax + 1) * C(p//2 + d, d) + p**d, which caps every library reader, and
 # separately of one expanded residue_census table, (nmax + 1) * p**d, which
-# only the oracles build.  A table cell takes 4 or 8 bytes, int32 or int64
-# by the overflow bound of its build; a rank cell takes 8.
+# only the oracles build.  A table cell takes 2, 4 or 8 bytes, int16, int32
+# or int64 by the largest count of the finished table (8 while a build pass
+# whose overflow bound needs it runs); a rank cell takes 8.
 CENSUS_CELL_CAP = 3 * 10**8
 
 # Largest modulus accepted by the exponential-sum evaluators.

@@ -239,6 +239,7 @@ def random_cusp_function(p: int, d: int, seed: int) -> TestFunction:
     zero at the pinned points, zero sum over every level set of Q."""
     f = random_even_function(p, d, seed)
     v = f.values.copy()
+    del f  # the draw is not held through the level-set loop
     levels, points = _cusp_conditions(p, d)
     pinned = np.array([e for _, e in points])
     v[pinned] = 0.0

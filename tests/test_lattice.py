@@ -93,6 +93,24 @@ def test_count_range_matches_the_weighted_shift_sum():
             assert np.array_equal(count_range(d, nmax), acc), (d, nmax)
 
 
+def _width_of(top):
+    """The narrowest of int16, int32 and int64 that holds 0..top."""
+    return next(w for w in (np.int16, np.int32, np.int64) if top <= np.iinfo(w).max)
+
+
+def test_count_range_crosses_every_width_and_returns_int64():
+    # pass k runs at the width of max r_{k-1} * (2s + 1), s = 44: passes 1-3
+    # fit int16, 4-6 int32, 7-8 need int64; the counts come back as int64
+    nmax, d = 2000, 8
+    tops = [1] + [int(count_range(k, nmax).max()) for k in range(1, d)]
+    bounds = [top * (2 * isqrt(nmax) + 1) for top in tops]
+    assert {_width_of(b) for b in bounds} == {np.int16, np.int32, np.int64}
+    counts = count_range(d, nmax)
+    assert counts.dtype == np.int64
+    for n in (1, 2, 3, 4, 17, 255, 1000, 1999, 2000):
+        assert int(counts[n]) == _jacobi_r8(n)
+
+
 def test_count_range_overflow_precheck():
     with pytest.raises(ResourceLimitError):
         count_range(8, 10**6)
@@ -272,8 +290,9 @@ HIGH_DIMENSION = [(p, d, nmax) for p in (2, 3) for d in (7, 8) for nmax in (0, 9
 
 @pytest.mark.parametrize("p,d,nmax", ORACLE_GRID + HIGH_DIMENSION)
 def test_residue_census_matches_per_residue_build(p, d, nmax):
+    orbit_census(1, 0, 2)  # drop any kept table: a view of it has its width
     census = residue_census(d, nmax, p)
-    assert census.shape == (nmax + 1, p**d) and census.dtype == np.int32
+    assert census.shape == (nmax + 1, p**d) and census.dtype == _width_of(int(census.max()))
     assert not census.flags.writeable
     assert np.array_equal(census, _census_by_residue(d, nmax, p))
 
@@ -331,8 +350,9 @@ def test_orbit_census_d8_fits_64_bits_to_nmax_65535():
         assert int(sums[n]) == _jacobi_r8(n)
 
 
-# Tables that end in int32: a seeded grid, then the largest of d = 6..8 at
-# p = 2, 3, 5, whose entries reach up to a quarter of 2**31 - 1.
+# Tables whose counts fit in int32, 8 of them in int16: a seeded grid, then
+# the largest of d = 6..8 at p = 2, 3, 5, whose entries reach up to a quarter
+# of 2**31 - 1.
 _rng = np.random.default_rng(2026)
 INT32_GRID = [
     (int(_rng.integers(1, 7)), int(_rng.choice([2, 3, 5, 7])), int(_rng.integers(0, 2**14)))
@@ -342,8 +362,9 @@ INT32_GRID = [
 
 @pytest.mark.parametrize("d,p,nmax", INT32_GRID)
 def test_orbit_census_in_int32_does_not_wrap(d, p, nmax):
+    orbit_census(1, 0, 2)  # drop any kept table: a view of it has its width
     rows, rank = orbit_census(d, nmax, p)
-    assert rows.dtype == np.int32
+    assert rows.dtype == _width_of(int(rows.max())) != np.int64
     assert np.array_equal(rows @ np.bincount(rank), count_range(d, nmax))
 
 
@@ -351,16 +372,23 @@ def test_residue_census_takes_four_bytes_a_cell():
     assert residue_census(5, 4095, 5).nbytes == 4 * 4096 * 5**5
 
 
+def test_residue_census_takes_two_bytes_a_cell_below_2_15():
+    # the largest count is 13440: the finished table is narrowed to int16
+    orbit_census(1, 0, 2)  # drop the kept table: a view of it has its width
+    assert residue_census(5, 2047, 5).nbytes == 2 * 2048 * 5**5
+
+
 @pytest.mark.parametrize("nmax", [1023, 2047])
 def test_orbit_census_widens_to_int64_at_its_last_pass(nmax):
     # the table after 7 passes is the d = 7 census, int32; its bound for the
     # last pass crosses 2**31 - 1, so that pass is int64.  At 1023 every
-    # count still fits in 31 bits, at 2047 some do not.
+    # count still fits in 31 bits and the finished table drops back to
+    # int32, at 2047 some do not.
     before = orbit_census(7, nmax, 2)[0]
     assert before.dtype == np.int32
     assert int(before.max()) * (2 * isqrt(nmax) + 1) > 2**31 - 1
     rows, rank = orbit_census(8, nmax, 2)
-    assert rows.dtype == np.int64
+    assert rows.dtype == _width_of(int(rows.max())) == (np.int32 if nmax == 1023 else np.int64)
     assert np.array_equal(rows @ np.bincount(rank), count_range(8, nmax))
     assert np.array_equal(rows[:, rank], _census_by_residue(8, nmax, 2))
 

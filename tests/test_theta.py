@@ -245,6 +245,20 @@ def test_operators_hand_over_their_fresh_arrays():
         del g
 
 
+def test_random_cusp_function_drops_its_draw_before_the_level_sets():
+    # the even draw is dropped once its values are copied: a warm call peaks
+    # at the 3.0x of random_even_function, with the draw kept at 3.32x
+    random_cusp_function(101, 2, 1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = random_cusp_function(101, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.1 * g.values.nbytes
+
+
 def test_operator_results_are_read_only_and_caller_arrays_are_copied():
     v = np.arange(9, dtype=np.complex128)
     f = TestFunction(3, 2, v)
