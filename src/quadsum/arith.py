@@ -192,18 +192,6 @@ def epsilon(d: int) -> complex:
     return (1 + 0j) if d % 4 == 1 else 1j
 
 
-_I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def epsilon_power(d: int, k: int) -> complex:
-    """epsilon(d)**k evaluated exactly (a power of i, never rounded)."""
-    if d % 2 == 0:
-        raise ValidationError(f"epsilon_power requires odd d, got {d}")
-    if d % 4 == 1:
-        return 1 + 0j
-    return _I_POWERS[k % 4]
-
-
 @dataclass(frozen=True)
 class PAdicSplit:
     """n = p**ord * unit with gcd(unit, p) = 1."""

@@ -58,7 +58,6 @@ import numpy as np
 
 from .arith import (
     epsilon,
-    epsilon_power,
     factorize,
     jacobi_symbol,
     p_adic_split,
@@ -201,7 +200,7 @@ def _a_coeff_closed(d: int, p: int, h: int, o: int, n1: int) -> complex:
     if h > o + 1:
         return 0j
     if d % 2 == 0:
-        base = epsilon_power(p, d).real * p ** (1 - d / 2)
+        base = _unit_sign(p, d) * p ** (1 - d / 2)
         if h <= o:
             return complex((p - 1) / p * base**h)
         return complex(-(base ** (o + 1)) / p)
@@ -212,7 +211,7 @@ def _a_coeff_closed(d: int, p: int, h: int, o: int, n1: int) -> complex:
     # h == o + 1
     if h % 2 == 1:
         sym = jacobi_symbol(-n1, p)
-        return epsilon_power(p, d + 1) * sym * p ** ((1 - d / 2) * o + (1 - d) / 2)
+        return complex(_unit_sign(p, d + 1) * sym * p ** ((1 - d / 2) * o + (1 - d) / 2))
     return complex(-(p ** ((1 - d / 2) * o - d / 2)))
 
 
@@ -234,9 +233,9 @@ class DensityReport:
 
 
 def _unit_sign(p: int | np.ndarray, k: int) -> int | np.ndarray:
-    """epsilon_power(p, k).real for even k, as the integer +1 or -1: it is -1
-    exactly when p = 3 mod 4 and k = 2 mod 4.  p is a Python int or an int64
-    array of odd primes."""
+    """epsilon(p)**k for even k, as the integer +1 or -1: it is -1 exactly
+    when p = 3 mod 4 and k = 2 mod 4.  p is a Python int or an int64 array of
+    odd primes."""
     return 1 - 2 * ((p % 4 == 3) & (k % 4 == 2))
 
 
@@ -589,16 +588,16 @@ def difference_check(d: int, p: int, n: int, coeff: float | None = None) -> Diff
 
 
 @dataclass(frozen=True)
-class DensityGapCheck:
-    p: int
-    d: int
-    n: int
-    value: float
-    expected: float
+class SumCheck:
+    """A literal sum against its closed value and the verdict on the pair;
+    each check states its own tolerance."""
+
+    value: complex
+    expected: complex
     passed: bool
 
 
-def density_gap_check(p: int, d: int, n: int) -> DensityGapCheck:
+def density_gap_check(p: int, d: int, n: int) -> SumCheck:
     """p^{d-2} delta_{p,d}(p^2 n) - delta_{p,d}(n) against its n-free closed
     value: (p^{d-2} - 1) C_{p,d} for even d, (p^{d-2} - 1) F_{p,d} for odd d."""
     require_prime(p, "density_gap_check", odd=True)
@@ -610,19 +609,10 @@ def density_gap_check(p: int, d: int, n: int) -> DensityGapCheck:
     consts = _odd_constants(p, d)
     scale = consts["C"] if d % 2 == 0 else consts["F"]
     expected = (p ** (d - 2) - 1) * scale
-    return DensityGapCheck(
-        p=p, d=d, n=n, value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL
-    )
+    return SumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
 
 
-@dataclass(frozen=True)
-class PhaseSumCheck:
-    value: complex
-    expected: complex
-    passed: bool
-
-
-def unit_phase_sum_check(p: int, n: int) -> PhaseSumCheck:
+def unit_phase_sum_check(p: int, n: int) -> SumCheck:
     """sum over units a mod p^h of e^{-2 pi i n a / p^h} at h = ord_p(n) + 1,
     against the closed value -p^{ord_p(n)} (a Ramanujan-type sum)."""
     require_prime(p, "unit_phase_sum_check", odd=True)
@@ -631,10 +621,10 @@ def unit_phase_sum_check(p: int, n: int) -> PhaseSumCheck:
     q = p**h
     value = complex(_unit_phases(q, n).sum())
     expected = complex(-(p**split.ord))
-    return PhaseSumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
+    return SumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL)
 
 
-def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> PhaseSumCheck:
+def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> SumCheck:
     """sum over units a mod p^h of (a/p) e^{-2 pi i n a / p^h} against its
     closed form: p^{ord+1/2} epsilon_p (-n/p^ord / p) when h = ord_p(n) + 1,
     and 0 when h > ord_p(n) + 1 (also 0 for h <= ord: a plain character sum).
@@ -654,4 +644,4 @@ def twisted_unit_phase_sum_check(p: int, h: int, n: int) -> PhaseSumCheck:
         )
     else:
         expected = 0j
-    return PhaseSumCheck(value=value, expected=complex(expected), passed=abs(value - expected) <= CHECK_TOL)
+    return SumCheck(value=value, expected=complex(expected), passed=abs(value - expected) <= CHECK_TOL)

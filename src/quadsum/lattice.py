@@ -252,16 +252,23 @@ def quadric_modulus(p: int) -> int:
     return 4 if p == 2 else p
 
 
+def require_space(p: int, d: int, caller: str) -> None:
+    """Raise ValidationError unless (Z/pZ)^d is a residue space (p prime,
+    d >= 1), and ResourceLimitError when its p**d entries pass ENTRY_CAP:
+    the check every p**d array passes before it is allocated."""
+    require_prime(p, caller)
+    if d < 1:
+        raise ValidationError(f"{caller} requires d >= 1, got {d}")
+    if p**d > ENTRY_CAP:
+        raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
+
+
 def quadric_indices(p: int, d: int, a: int) -> np.ndarray:
     """Encoded indices of X_{p,d}(a), sorted ascending."""
-    require_prime(p, "quadric_indices")
-    if d < 1:
-        raise ValidationError(f"quadric_indices requires d >= 1, got {d}")
+    require_space(p, d, "quadric_indices")
     mod = quadric_modulus(p)
     if not 0 <= a < mod:
         raise ValidationError(f"level a={a} out of range for modulus {mod}")
-    if p**d > ENTRY_CAP:
-        raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
     return np.nonzero(qmod_vector(p, d) == a)[0]
 
 
@@ -308,7 +315,7 @@ def orbit_census(d: int, nmax: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     global _kept_census
     if d < 1 or nmax < 0:
         raise ValidationError(f"orbit_census got d={d}, nmax={nmax}")
-    require_prime(p, "orbit_census")
+    require_space(p, d, "orbit_census")  # the rank holds p**d entries
     h = p // 2 + 1
     cells = (nmax + 1) * comb(h + d - 1, d) + p**d
     if cells > CENSUS_CELL_CAP:

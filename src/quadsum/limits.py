@@ -20,11 +20,12 @@ BOX_POINT_CAP = 5 * 10**8
 # 2 to 8 bytes a cell by each pass's overflow bound, and returns int64).
 RANGE_NMAX_CAP = 10**8
 
-# Dense test-function storage: maximum p**d entries.  decay_study also
-# expands its per-orbit deviations to the level support in blocks of at most
-# this many; theta_coeffs reads no blocks, it contracts the orbit table one
-# orbit column at a time.  A generator table holds no function but f: it
-# reads every L^k S_a f off f.
+# Maximum p**d entries of any array over (Z/pZ)^d: a test function, the
+# quadric index vector and the census rank, all checked by
+# lattice.require_space.  decay_study also expands its per-orbit deviations
+# to the level support in blocks of at most this many; theta_coeffs reads no
+# blocks, it contracts the orbit table one orbit column at a time.  A
+# generator table holds no function but f: it reads every L^k S_a f off f.
 ENTRY_CAP = 10**7
 
 # Residue census: maximum cells of the kept orbit table with its rank,
@@ -44,7 +45,8 @@ THETA_CUT_CAP = 2 * 10**6
 # srw_profile: largest p**d * p**r table.
 PROFILE_CELL_CAP = 5 * 10**7
 
-# rsum_check / tsum_check: largest brute-force grid.
+# rsum_check / tsum_check: largest brute-force grid.  tsum_check also
+# refuses a modulus p^r whose int64 squares could wrap.
 BRUTE_GRID_CAP = 10**7
 
 # Largest prime of the kept sieve (a bool sieve of PRIME_CAP + 1 bytes and

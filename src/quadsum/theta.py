@@ -56,13 +56,12 @@ from typing import Union
 import numpy as np
 
 from .arith import j_prime_k, jacobi_symbol, require_prime, valuation
-from .density import gauss_sum
+from .density import SumCheck, gauss_sum
 from .errors import QuadsumError, ResourceLimitError, ValidationError
-from .lattice import encode_residues, orbit_census, qmod_vector, quadric_modulus
+from .lattice import encode_residues, orbit_census, qmod_vector, quadric_modulus, require_space
 from .limits import (
     BRUTE_GRID_CAP,
     DEFAULT_EPS,
-    ENTRY_CAP,
     PROFILE_CELL_CAP,
     THETA_CUT_CAP,
 )
@@ -87,16 +86,6 @@ def _scaled(values: np.ndarray, p: int, d: int, j: int) -> np.ndarray:
     return t.reshape(-1)
 
 
-def _require_space(p: int, d: int) -> None:
-    """Validate (Z/pZ)^d as a test-function space and its p**d entries
-    against ENTRY_CAP, before anything of that size is allocated."""
-    require_prime(p, "TestFunction")
-    if d < 1:
-        raise ValidationError(f"TestFunction requires d >= 1, got {d}")
-    if p**d > ENTRY_CAP:
-        raise ResourceLimitError(f"p**d = {p**d} exceeds entry cap {ENTRY_CAP}")
-
-
 class TestFunction:
     """A complex-valued function on (Z/pZ)^d, stored densely.
 
@@ -108,7 +97,7 @@ class TestFunction:
     __slots__ = ("p", "d", "values", "_even", "_max_abs")
 
     def __init__(self, p: int, d: int, values):
-        _require_space(p, d)
+        require_space(p, d, "TestFunction")
         self._hold(p, d, np.array(values, dtype=np.complex128))
 
     @classmethod
@@ -160,12 +149,12 @@ class TestFunction:
 
 
 def constant_function(p: int, d: int) -> TestFunction:
-    _require_space(p, d)
+    require_space(p, d, "TestFunction")
     return TestFunction._adopt(p, d, np.ones(p**d, dtype=np.complex128))
 
 
 def origin_indicator(p: int, d: int) -> TestFunction:
-    _require_space(p, d)
+    require_space(p, d, "TestFunction")
     v = np.zeros(p**d, dtype=np.complex128)
     v[0] = 1.0
     return TestFunction._adopt(p, d, v)
@@ -224,7 +213,7 @@ def op_M(f: TestFunction) -> TestFunction:
 
 def random_even_function(p: int, d: int, seed: int) -> TestFunction:
     """Seeded uniform complex values in the unit square, even-projected."""
-    _require_space(p, d)
+    require_space(p, d, "TestFunction")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -733,13 +722,6 @@ def srw_vanishing(f: TestFunction, rmax: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class SumCheck:
-    value: complex
-    predicted: complex
-    passed: bool
-
-
 def _brute_phase_sum(cols, m: int, w: int) -> complex:
     """sum over every choice (c_1, ..., c_d) of one entry from each column of
     e^{2 pi i w (c_1 + ... + c_d) / m}, literally: each grid point's exponent is
@@ -774,18 +756,18 @@ def rsum_check(r: int, k, w: int) -> SumCheck:
     value = _brute_phase_sum([(u * (u + bit)) % m for bit in k], m, wm)
 
     if wm == 0:
-        predicted = complex(m**d)
+        expected = complex(m**d)
     else:
         s, w1 = valuation(wm, 2)
         r2 = r - s  # wm < 2^{r-2} forces s <= r-3, hence r2 >= 3
         scale = 2 ** (s * d)
         if r2 == 3:
-            predicted = complex(scale * 2**d) if all(b == 1 for b in k) else 0j
+            expected = complex(scale * 2**d) if all(b == 1 for b in k) else 0j
         elif any(k):
-            predicted = 0j
+            expected = 0j
         else:
-            predicted = scale * gauss_sum(2 ** (r2 - 2), w1) ** d
-    return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= CHECK_TOL * max(1.0, abs(predicted)))
+            expected = scale * gauss_sum(2 ** (r2 - 2), w1) ** d
+    return SumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL * max(1.0, abs(expected)))
 
 
 def tsum_check(p: int, r: int, k, w: int) -> SumCheck:
@@ -805,24 +787,27 @@ def tsum_check(p: int, r: int, k, w: int) -> SumCheck:
     denom = p**r
     if (p ** (r - 1)) ** d > BRUTE_GRID_CAP:
         raise ResourceLimitError(f"brute-force grid p^{(r-1)*d} exceeds cap {BRUTE_GRID_CAP}")
+    # bounds every square (k_i mod p^r + p u)^2 and every phase product below
+    if (max(c % denom for c in k) + denom) ** 2 > 2**63 - 1:
+        raise ResourceLimitError(f"squares mod p^{r} = {denom} pass the int64 cap 2**63 - 1")
     wm = w % denom
     u = np.arange(p ** (r - 1), dtype=np.int64)
     value = _brute_phase_sum([(((c % denom) + p * u) ** 2) % denom for c in k], denom, wm)
 
     if wm == 0:
-        predicted = complex(p ** ((r - 1) * d))
+        expected = complex(p ** ((r - 1) * d))
     else:
         s, w1 = valuation(wm, p)
         r2 = r - s  # wm < p^r nonzero forces s <= r-1, hence r2 >= 1
         scale = p ** (s * d)
         if r2 == 1:
             qk = sum(c * c for c in k) % p
-            predicted = scale * cmath.exp(2j * math.pi * ((qk * w1) % p) / p)
+            expected = scale * cmath.exp(2j * math.pi * ((qk * w1) % p) / p)
         elif all(c % p == 0 for c in k):
-            predicted = scale * p**d * gauss_sum(p ** (r2 - 2), w1) ** d
+            expected = scale * p**d * gauss_sum(p ** (r2 - 2), w1) ** d
         else:
-            predicted = 0j
-    return SumCheck(value=value, predicted=predicted, passed=abs(value - predicted) <= CHECK_TOL * max(1.0, abs(predicted)))
+            expected = 0j
+    return SumCheck(value=value, expected=expected, passed=abs(value - expected) <= CHECK_TOL * max(1.0, abs(expected)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from quadsum import arith
 from quadsum.arith import (
     epsilon,
-    epsilon_power,
     euler_criterion,
     factorize,
     is_prime,
@@ -23,6 +22,7 @@ from quadsum.arith import (
     require_prime,
     residues,
 )
+from quadsum.density import _unit_sign
 from quadsum.errors import ResourceLimitError, ValidationError
 from quadsum.limits import PRIME_CAP
 
@@ -119,11 +119,10 @@ def test_epsilon_squared_is_minus_one_symbol():
         assert epsilon(d) ** 2 == pytest.approx(jacobi_symbol(-1, d))
 
 
-def test_epsilon_power_table():
-    for d in (3, 7, 11, -1):
-        for k in range(9):
-            assert epsilon_power(d, k) == pytest.approx(epsilon(d) ** k, abs=1e-15)
-    assert epsilon_power(5, 3) == 1
+def test_unit_sign_is_the_even_epsilon_power():
+    for p in (3, 5, 7, 11, 13, 101, 1009):
+        for k in range(0, 17, 2):
+            assert _unit_sign(p, k) == epsilon(p) ** k, (p, k)
 
 
 def test_p_adic_split_examples():

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import quadsum
+from quadsum import theta
 from quadsum.density import (
     _gauss_table,
     _two_adic_delta,
@@ -599,6 +601,20 @@ def test_density_gap_check_examples():
     chk = density_gap_check(3, 5, 1)
     assert chk.value == pytest.approx((3**3 - 1) * f_const, abs=1e-12)
     assert chk.passed
+
+
+def test_every_sum_check_returns_the_one_record():
+    assert quadsum.SumCheck is quadsum.density.SumCheck is theta.SumCheck
+    checks = [
+        theta.rsum_check(4, (0, 0), 1),
+        theta.tsum_check(3, 2, (0, 0), 1),
+        unit_phase_sum_check(3, 6),
+        twisted_unit_phase_sum_check(3, 2, 3),
+        density_gap_check(3, 4, 1),
+    ]
+    for chk in checks:
+        assert type(chk) is quadsum.SumCheck
+        assert chk.passed and abs(chk.value - chk.expected) <= 1e-8 * max(1.0, abs(chk.expected))
 
 
 def test_density_gap_value_is_n_free():

@@ -14,6 +14,7 @@ from quadsum.density import (
     unit_phase_sum_check,
 )
 from quadsum.equidist import decay_study
+from quadsum import lattice
 from quadsum.errors import ResourceLimitError
 from quadsum.lattice import (
     count_range,
@@ -21,6 +22,7 @@ from quadsum.lattice import (
     orbit_census,
     quadric_indices,
     residue_census,
+    residue_histogram,
 )
 from quadsum.limits import PRIME_CAP
 from quadsum.theta import (
@@ -52,6 +54,7 @@ GUARDS = {
     "srw-profile-cells": lambda: srw_profile(F32, 15),
     "rsum-grid": lambda: rsum_check(12, (0, 0, 0), 1),
     "tsum-grid": lambda: tsum_check(3, 6, (0, 0, 0, 0), 1),
+    "tsum-modulus": lambda: tsum_check(3001, 3, (0,), 1),
     "prime-sieve": lambda: primes_upto(PRIME_CAP + 1),
     "series-prime-factor": lambda: singular_series(5, 10000019),
     "series-prime-cutoff": lambda: singular_series(5, 1, PRIME_CAP + 1),
@@ -72,6 +75,18 @@ def test_cap_guard_fails_before_allocating(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_census_rank_obeys_the_entry_cap(monkeypatch):
+    # 5**10 residues fit CENSUS_CELL_CAP but not an entry cap of 1000: the
+    # p**d rank is refused before the kept table is dropped or rebuilt
+    orbit_census(3, 4, 3)
+    kept = lattice._kept_census
+    monkeypatch.setattr(lattice, "ENTRY_CAP", 1000)
+    for call in (orbit_census, residue_census, residue_histogram):
+        with pytest.raises(ResourceLimitError, match="entry cap"):
+            call(5, 10, 5)
+        assert lattice._kept_census is kept
 
 
 def test_singular_series_answers_below_the_prime_cap():

@@ -876,6 +876,16 @@ def test_tsum_grid_brute_vs_predicted():
             assert tsum_check(3, 4, k, w).passed, (k, w)
 
 
+def test_tsum_answers_while_its_squares_fit_int64():
+    # (max k_i mod p^r + p^r)^2 <= 2**63 - 1: computed exactly
+    for p, r, k, w in [(1129, 3, (1129**3 - 1,), 7), (1009, 3, (1,), 1), (40009, 2, (1,), 3)]:
+        assert tsum_check(p, r, k, w).passed, (p, r, k, w)
+    # past it the int64 squares would wrap into a false failure: refused instead
+    for p, r, k, w in [(2003, 3, (1,), 5), (3001, 3, (0,), 1), (1151, 3, (1151**3 - 1,), 7)]:
+        with pytest.raises(ResourceLimitError, match="int64"):
+            tsum_check(p, r, k, w)
+
+
 def test_tsum_validation():
     with pytest.raises(ValidationError):
         tsum_check(2, 2, (0,), 1)
